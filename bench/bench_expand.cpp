@@ -11,7 +11,7 @@
 //    "cpus": ...}
 //
 // Phase 1 (expand_ab) runs the SAME 192x192 plan twice — batch_limit 1
-// (strictly sequential, the outpaint_grow schedule) vs whole waves — and
+// (strictly sequential, one window per model call) vs whole waves — and
 // asserts the canvases are bitwise identical; the speedup column is the
 // wavefront-batching win. The >= 2x acceptance gate lives in
 // scripts/check_bench_json.py and applies only on hosts with >= 4 CPUs and

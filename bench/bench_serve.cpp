@@ -1,17 +1,16 @@
 // Serving-layer benchmark: closed-loop multi-client throughput and latency
-// through the GenerationServer (queue -> micro-batch coalescing ->
-// Ddpm::inpaint -> finish tail), plus an overload phase that drives the
-// admission-control paths (queue-full rejects, deadline timeouts) so the
-// serve.* counters show up in the run report.
+// through the GenerationServer (queue -> step-level continuous batching ->
+// finish tail), plus an overload phase that drives the admission-control
+// paths (queue-full rejects, deadline timeouts) so the serve.* counters
+// show up in the run report.
 //
 // Output (grep '^{"bench"'):
 //   {"bench": "serve_closed_loop", "ms": ..., "rps": ..., "p50_ms": ...,
 //    "p95_ms": ..., "p99_ms": ..., "clients": ..., "requests": ...}
-//   {"bench": "serve_open_loop_fixed", "ms": ..., "offered_rps": ...,
+//   {"bench": "serve_open_loop_cont", "ms": ..., "offered_rps": ...,
 //    "rps": ..., "p50_ms": ..., "p95_ms": ..., "p99_ms": ...,
 //    "queue_p50_ms": ..., "queue_p95_ms": ..., "queue_p99_ms": ...,
 //    "requests": ...}
-//   {"bench": "serve_open_loop_cont", ... same fields ...}
 //   {"bench": "serve_telemetry", "ms": ..., "mid_p95_ms": ...,
 //    "final_rolling_p95_ms": ..., "final_p95_ms": ..., "bucket_ratio": ...,
 //    "within_bucket": 0|1, "request_log_lines": ..., "requests": ...,
@@ -29,20 +28,17 @@
 // shadows and that both executor shards served traffic.
 //
 // The serve_telemetry line is the live-telemetry acceptance probe: during
-// the continuous open-loop phase the dispatcher scrapes the server's
-// rolling-window metrics mid-run (the same payload the `metrics` wire op
-// returns) and the bench asserts (a) the mid-run rolling p95 lands within
-// one histogram bucket ratio of the server's final rolling p95, and (b)
-// the wide-event request log accounts for 100% of accepted + rejected
-// requests.
+// the open-loop phase the dispatcher scrapes the server's rolling-window
+// metrics mid-run (the same payload the `metrics` wire op returns) and the
+// bench asserts (a) the mid-run rolling p95 lands within one histogram
+// bucket ratio of the server's final rolling p95, and (b) the wide-event
+// request log accounts for 100% of accepted + rejected requests.
 //
-// The open-loop pair is the tail-latency A/B for step-level continuous
+// The open-loop line measures tail latency under step-level continuous
 // batching: Poisson arrivals (PP_SERVE_RPS overrides the offered rate) with
-// three mixed sampler classes (short steps 2 / 4 plus rare steps-32 heavies)
-// driving the SAME precomputed workload through both executors.
-// Fixed batching head-of-line-blocks short requests behind long schedules
-// (and cannot coalesce across steps classes at all); continuous batching
-// joins every arrival at the next step boundary, so its p95/p99 collapse.
+// three mixed sampler classes (short steps 2 / 4 plus rare steps-32
+// heavies). Every arrival joins the running batch at the next step
+// boundary, so a short request never waits out a heavy one.
 //
 // The model is a tiny untrained sd1 (weights from the init seed): the
 // serving costs measured here — queueing, batching, denoising-step compute,
@@ -169,8 +165,7 @@ void raise_fd_limit() {
 }
 
 /// One open-loop arrival: when it fires (ms after phase start) and which
-/// sampler class it belongs to. Precomputed once so both executors replay
-/// the identical workload.
+/// sampler class it belongs to, precomputed before the phase starts.
 struct Arrival {
   double at_ms = 0.0;
   int steps = 0;
@@ -184,18 +179,17 @@ struct OpenLoopStats {
   std::vector<double> queue_ms;  ///< server-reported enqueue -> batch join
 };
 
-/// Replays the arrival schedule against one executor flavour. A single
+/// Replays the arrival schedule against a fresh server. A single
 /// dispatcher thread sleeps to each Poisson arrival and fires the submit;
 /// latencies are the server's own e2e_ms / wait_ms, so client-side clock
-/// jitter does not pollute the comparison.
+/// jitter does not pollute them.
 OpenLoopStats run_open_loop(const std::shared_ptr<serve::ModelRegistry>& reg,
                             const std::vector<Arrival>& arrivals,
-                            bool continuous, TelemetryProbe* probe = nullptr) {
+                            TelemetryProbe* probe = nullptr) {
   using Clock = std::chrono::steady_clock;
   serve::ServerConfig cfg;
   cfg.max_queue = 1024;  // open loop must never bounce off admission
   cfg.max_batch_samples = 8;
-  cfg.continuous = continuous;
   if (probe)
     cfg.request_log.path = bench::results_dir() + "/bench_serve_requests.ndjson";
   serve::GenerationServer server(reg, cfg);
@@ -342,15 +336,12 @@ int main() {
                      {"clients", static_cast<double>(clients)},
                      {"requests", static_cast<double>(total)}});
 
-  // Phase 2: open loop, the continuous-batching A/B. The traffic shape is
-  // the one continuous batching exists for: a stream of short interactive
-  // requests (steps 2 / 4, one sample) with an occasional heavy request
-  // (steps 32, four samples) mixed in. Under the fixed executor a short
-  // request that arrives while a heavy batch runs waits for the WHOLE
-  // generation (and cannot even coalesce with neighbours of a different
-  // steps class); under the continuous executor it joins at the next step
-  // boundary and leaves after its own 2-4 steps. The offered rate is
-  // calibrated off the short class's solo latency so the server is busy
+  // Phase 2: open loop. The traffic shape is the one continuous batching
+  // exists for: a stream of short interactive requests (steps 2 / 4, one
+  // sample) with an occasional heavy request (steps 32, four samples) mixed
+  // in. A short request that arrives while a heavy one runs joins at the
+  // next step boundary and leaves after its own 2-4 steps. The offered rate
+  // is calibrated off the short class's solo latency so the server is busy
   // but not saturated (~35% of the one-at-a-time short-class service
   // rate); PP_SERVE_RPS overrides it.
   double solo_ms = 0.0;
@@ -395,18 +386,9 @@ int main() {
       }
     }
   }
-  const OpenLoopStats fixed_stats =
-      run_open_loop(registry, arrivals, /*continuous=*/false);
   TelemetryProbe probe;
-  const OpenLoopStats cont_stats =
-      run_open_loop(registry, arrivals, /*continuous=*/true, &probe);
-  emit_open_loop("serve_open_loop_fixed", fixed_stats, offered_rps);
+  const OpenLoopStats cont_stats = run_open_loop(registry, arrivals, &probe);
   emit_open_loop("serve_open_loop_cont", cont_stats, offered_rps);
-  std::printf("continuous vs fixed: p95 %.2fx, p99 %.2fx lower\n",
-              percentile(fixed_stats.e2e_ms, 0.95) /
-                  std::max(percentile(cont_stats.e2e_ms, 0.95), 1e-9),
-              percentile(fixed_stats.e2e_ms, 0.99) /
-                  std::max(percentile(cont_stats.e2e_ms, 0.99), 1e-9));
 
   // Telemetry acceptance probe: the mid-run rolling p95 must land within
   // one histogram bucket ratio of the final rolling p95 (both use the same

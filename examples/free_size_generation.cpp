@@ -3,12 +3,11 @@
 //
 // Grows one starter clip to an arbitrary-size canvas by sliding-window
 // outpainting: each window conditions on already-committed geometry, so
-// design-rule context propagates outward from the seed. outpaint_grow is
-// the sequential wrapper over src/expand — the same planner and per-window
-// RNG streams the serve tier's wavefront scheduler uses, so a layout grown
-// here is bitwise identical to the one an `expand` request produces for
-// the same seed. The grown layout is exported as PGM + ASCII GDS, and its
-// clip-level DRC verdict printed.
+// design-rule context propagates outward from the seed. expand_layout runs
+// the same planner and per-window RNG streams the serve tier's executor
+// uses, so a layout grown here is bitwise identical to the one an `expand`
+// request produces for the same seed. The grown layout is exported as PGM
+// + ASCII GDS, and its clip-level DRC verdict printed.
 //
 // PP_FREESIZE_QUICK=1 shrinks the model and targets (16px clips, a few
 // training steps, 48x32 canvas) so the example finishes in seconds — the
@@ -18,7 +17,7 @@
 #include <filesystem>
 
 #include "core/patternpaint.hpp"
-#include "expand/outpaint.hpp"
+#include "expand/expander.hpp"
 #include "io/gds_text.hpp"
 #include "io/image_io.hpp"
 #include "patterngen/track_generator.hpp"
@@ -63,9 +62,9 @@ int main() {
   const int target_h = quick ? 32 : 64;
   std::printf("outpainting %dx%d seed to %dx%d...\n", clip, clip, target_w,
               target_h);
-  OutpaintConfig ocfg;
-  ocfg.seed = 2024;
-  Raster grown = outpaint_grow(pp, starters[0], target_w, target_h, ocfg);
+  const Raster grown = expand::expand_layout(pp, starters[0], target_w,
+                                             target_h, /*request_seed=*/2024)
+                           .canvas;
 
   std::filesystem::create_directories("freesize");
   write_pgm(grown, "freesize/grown.pgm", /*scale=*/6);

@@ -14,7 +14,8 @@
 //
 // Options:
 //   --max-queue N      admission bound on pending requests   (default 64)
-//   --max-batch N      micro-batch coalescing cap, in samples (default 16)
+//   --max-batch N      running-batch cap, in samples, and the largest
+//                      request `count` admitted (default 16)
 //   --shards N         executor shards (same-model affinity)  (default 1)
 //   --cache N          generation-cache entries, 0 = off      (default 256)
 //   --tcp HOST:PORT    additional TCP listener (socket mode)

@@ -39,9 +39,9 @@ SERVE_FIELDS = ("rps", "p50_ms", "p95_ms", "p99_ms", "clients", "requests",
                 "within_bucket", "request_log_lines", "log_complete",
                 "health_ok", "ok", "cache_hits", "cache_misses",
                 "hit_bitwise", "hit_expected", "shards_active")
-# Open-loop A/B lines (bench_serve): the full latency evidence must be
-# present on BOTH executor flavours or the comparison is meaningless.
-OPEN_LOOP_BENCHES = ("serve_open_loop_fixed", "serve_open_loop_cont")
+# Open-loop line (bench_serve): the full latency evidence, queue
+# percentiles included, must be present.
+OPEN_LOOP_BENCHES = ("serve_open_loop_cont",)
 OPEN_LOOP_REQUIRED = {"offered_rps", "rps", "p50_ms", "p95_ms", "p99_ms",
                       "queue_p50_ms", "queue_p95_ms", "queue_p99_ms",
                       "requests"}
@@ -449,10 +449,6 @@ def selfcheck():
         {"bench": "serve_closed_loop", "ms": 23.4, "rps": 853.5,
          "p50_ms": 4.6, "p95_ms": 5.9, "p99_ms": 6.3, "clients": 4,
          "requests": 20},
-        {"bench": "serve_open_loop_fixed", "ms": 270.3, "offered_rps": 293.6,
-         "rps": 222.0, "p50_ms": 8.8, "p95_ms": 43.6, "p99_ms": 44.0,
-         "queue_p50_ms": 2.5, "queue_p95_ms": 35.3, "queue_p99_ms": 39.9,
-         "requests": 60},
         {"bench": "serve_open_loop_cont", "ms": 270.0, "offered_rps": 293.6,
          "rps": 222.2, "p50_ms": 4.0, "p95_ms": 8.8, "p99_ms": 47.4,
          "queue_p50_ms": 0.1, "queue_p95_ms": 1.3, "queue_p99_ms": 1.7,
@@ -496,7 +492,7 @@ def selfcheck():
         {"bench": "serve_overload", "ms": 1.0, "rejected": "many"},
         # Open-loop lines without the queue percentiles / p99 are evidence
         # gaps, not optional extras.
-        {"bench": "serve_open_loop_fixed", "ms": 1.0, "offered_rps": 10.0,
+        {"bench": "serve_open_loop_cont", "ms": 1.0, "offered_rps": 10.0,
          "rps": 9.0, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0,
          "requests": 5},
         {"bench": "serve_open_loop_cont", "ms": 1.0, "offered_rps": 10.0,

@@ -155,12 +155,6 @@ nn::Tensor Ddpm::inpaint(const Tensor& known, const Tensor& mask,
   return inpaint(known, mask, sample_bases(known.dim(0), rng));
 }
 
-nn::Tensor Ddpm::inpaint(const Tensor& known, const Tensor& mask,
-                         const std::vector<std::uint64_t>& bases,
-                         const std::function<bool()>& abort) const {
-  return inpaint(known, mask, bases, SamplerParams{}, abort);
-}
-
 SamplerParams Ddpm::resolve_sampler(const SamplerParams& params) const {
   SamplerParams r;
   r.steps = params.steps > 0 ? params.steps : cfg_.sample_steps;
@@ -393,12 +387,10 @@ void InpaintState::compact(const std::vector<int>& keep, std::size_t per) {
 
 nn::Tensor Ddpm::inpaint(const Tensor& known, const Tensor& mask,
                          const std::vector<std::uint64_t>& bases,
-                         const SamplerParams& params,
-                         const std::function<bool()>& abort) const {
+                         const SamplerParams& params) const {
   PP_TRACE_SPAN("ddpm.inpaint");
   static obs::Counter& calls = obs::metrics().counter("ddpm.inpaint.calls");
   static obs::Counter& samples = obs::metrics().counter("ddpm.inpaint.samples");
-  static obs::Counter& aborted = obs::metrics().counter("ddpm.inpaint.aborted");
   calls.add(1);
   PP_REQUIRE_MSG(known.ndim() == 4 && known.dim(1) == 1,
                  "inpaint: known {N,1,H,W}");
@@ -417,10 +409,6 @@ nn::Tensor Ddpm::inpaint(const Tensor& known, const Tensor& mask,
 
   Tensor out = known.zeros_like();
   while (!st.empty()) {
-    if (abort && abort()) {
-      aborted.add(1);
-      return Tensor();
-    }
     for (const FinishedSample& f : step(st))
       std::copy_n(f.x.data(), per, out.data() + f.tag * per);
   }

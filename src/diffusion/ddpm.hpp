@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,23 +124,13 @@ class Ddpm {
   /// draw_seed() per sample. Because each sample's noise is a pure function
   /// of its base, concatenating the bases of several logical requests into
   /// one call yields bitwise the same per-sample output as running each
-  /// request alone — the contract the serve layer's micro-batching relies
-  /// on. `abort`, when non-empty, is polled between denoising steps
-  /// (cooperative cancellation); returning true abandons the batch and
-  /// makes inpaint return an empty (default-constructed) tensor.
+  /// request alone. `params` overrides sample_steps / eta for every sample
+  /// in the call. Implemented on the step-level API below, so a monolithic
+  /// call is bitwise identical to the same samples run through
+  /// join()/step() under any interleaving with other samples.
   nn::Tensor inpaint(const nn::Tensor& known, const nn::Tensor& mask,
                      const std::vector<std::uint64_t>& bases,
-                     const std::function<bool()>& abort = {}) const;
-
-  /// Per-request sampler schedule variant: same contract as above, with
-  /// `params` overriding sample_steps / eta for every sample in the call.
-  /// Implemented on the step-level API below, so a monolithic call is
-  /// bitwise identical to the same samples run through join()/step() under
-  /// any interleaving with other samples.
-  nn::Tensor inpaint(const nn::Tensor& known, const nn::Tensor& mask,
-                     const std::vector<std::uint64_t>& bases,
-                     const SamplerParams& params,
-                     const std::function<bool()>& abort = {}) const;
+                     const SamplerParams& params = {}) const;
 
   /// --- Step-level (continuous-batching) API -------------------------------
   ///

@@ -209,38 +209,38 @@ Raster WavefrontExpander::take_canvas() {
   return out;
 }
 
+WindowBatch stack_windows(const std::vector<WindowWork>& works) {
+  PP_REQUIRE(!works.empty());
+  const int n = static_cast<int>(works.size());
+  const int h = works.front().known.height(), w = works.front().known.width();
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  WindowBatch b{nn::Tensor({n, 1, h, w}), nn::Tensor({n, 1, h, w}), {}};
+  b.bases.reserve(works.size());
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    std::copy_n(raster_to_tensor(works[i].known).data(), plane,
+                b.known.data() + i * plane);
+    std::copy_n(mask_to_tensor(works[i].mask).data(), plane,
+                b.mask.data() + i * plane);
+    b.bases.push_back(works[i].gen_base);
+  }
+  return b;
+}
+
 ExpandResult expand_layout(PatternPaint& painter, const Raster& seed,
                            int target_w, int target_h,
                            std::uint64_t request_seed, const ExpandConfig& cfg,
-                           int batch_limit, const std::function<bool()>& abort) {
+                           int batch_limit) {
   PP_TRACE_SPAN("expand.layout");
   WavefrontExpander ex(painter, seed, target_w, target_h, request_seed, cfg);
   const Ddpm& model = painter.model();
-  const int clip = ex.plan().clip;
-  const std::size_t plane = static_cast<std::size_t>(clip) * clip;
   while (!ex.done()) {
-    if (abort && abort()) return ExpandResult{Raster(), ex.stats(), true};
     std::vector<WindowWork> works = ex.acquire(batch_limit);
     PP_REQUIRE_MSG(!works.empty() || ex.done(),
                    "expand wave stalled with windows in flight");
     if (works.empty()) continue;  // wave fully skipped, frontier advanced
-    const int n = static_cast<int>(works.size());
-    nn::Tensor known({n, 1, clip, clip});
-    nn::Tensor mask({n, 1, clip, clip});
-    std::vector<std::uint64_t> bases(works.size());
-    for (int i = 0; i < n; ++i) {
-      nn::Tensor kt = raster_to_tensor(works[static_cast<std::size_t>(i)].known);
-      nn::Tensor mt = mask_to_tensor(works[static_cast<std::size_t>(i)].mask);
-      std::copy_n(kt.data(), plane,
-                  known.data() + static_cast<std::size_t>(i) * plane);
-      std::copy_n(mt.data(), plane,
-                  mask.data() + static_cast<std::size_t>(i) * plane);
-      bases[static_cast<std::size_t>(i)] =
-          works[static_cast<std::size_t>(i)].gen_base;
-    }
-    const nn::Tensor out = model.inpaint(known, mask, bases, cfg.sampler, abort);
-    if (out.numel() == 0)  // aborted between denoising steps
-      return ExpandResult{Raster(), ex.stats(), true};
+    const WindowBatch in = stack_windows(works);
+    const nn::Tensor out =
+        model.inpaint(in.known, in.mask, in.bases, cfg.sampler);
     ex.commit_batch(works, tensor_to_rasters(out));
   }
   ExpandResult result;

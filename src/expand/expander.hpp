@@ -5,8 +5,8 @@
 // current wave's independent windows (each with its pre-inpaint template,
 // uncommitted-pixel mask and RNG stream bases) and commit() folds one
 // generated window back in. Two drivers share it bitwise-identically:
-//   * expand_layout() — the in-process loop (outpaint_grow wrapper, CLI,
-//     bench): acquires a batch, runs one Ddpm::inpaint call, commits.
+//   * expand_layout() — the in-process loop (examples, CLI, bench):
+//     acquires a batch, runs one Ddpm::inpaint call, commits.
 //   * the serve executor — wave windows join the continuous-batching
 //     InpaintState at step boundaries and commit as they finish.
 //
@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/patternpaint.hpp"
@@ -79,6 +78,16 @@ struct WindowWork {
   std::uint64_t gen_base = 0;     ///< Ddpm stream base
   std::uint64_t finish_base = 0;  ///< finish_samples stream base
 };
+
+/// Model inputs of a window batch, row i = works[i]: known {N,1,clip,clip}
+/// in [-1,1], mask {N,1,clip,clip} in {0,1}, one generation base per row.
+struct WindowBatch {
+  nn::Tensor known, mask;
+  std::vector<std::uint64_t> bases;
+};
+
+/// Stacks acquired windows for Ddpm::inpaint / Ddpm::join (non-empty).
+WindowBatch stack_windows(const std::vector<WindowWork>& works);
 
 class WavefrontExpander {
  public:
@@ -143,20 +152,20 @@ class WavefrontExpander {
 
 /// Result of a full in-process expansion.
 struct ExpandResult {
-  Raster canvas;  ///< empty when aborted or free_bands was set
+  Raster canvas;  ///< empty when free_bands was set
   ExpandStats stats;
-  bool aborted = false;
 };
 
-/// Runs a whole expansion in-process. `batch_limit` caps how many windows
-/// feed one Ddpm::inpaint call: 0 = whole waves (wavefront execution),
-/// 1 = strictly sequential (the outpaint_grow wrapper semantics). Both
-/// produce bitwise-identical canvases. `abort`, polled between model
-/// steps, cancels cooperatively (result.aborted = true, empty canvas).
+/// Runs a whole expansion in-process. The seed is placed top-left and the
+/// target must be at least one clip on each edge, the seed at most one clip
+/// (throws pp::Error otherwise, as does an out-of-domain step_fraction).
+/// `batch_limit` caps how many windows feed one Ddpm::inpaint call: 0 =
+/// whole waves (wavefront execution), 1 = strictly sequential, one window
+/// per model call in row-major wave order. Every limit produces a
+/// bitwise-identical canvas.
 ExpandResult expand_layout(PatternPaint& painter, const Raster& seed,
                            int target_w, int target_h,
                            std::uint64_t request_seed,
-                           const ExpandConfig& cfg = {}, int batch_limit = 0,
-                           const std::function<bool()>& abort = {});
+                           const ExpandConfig& cfg = {}, int batch_limit = 0);
 
 }  // namespace pp::expand

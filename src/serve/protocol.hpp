@@ -1,7 +1,7 @@
 // Wire protocol of the pattern-generation service: newline-delimited JSON
 // (NDJSON), one request object per line in, one response object per line
 // out, matched by the client-chosen `id` (responses may arrive out of
-// order — the server completes micro-batches as they finish).
+// order — each request completes the moment its own samples finish).
 //
 // Request ops:
 //   load     {"id", "op":"load", "model":<key>, "preset":"sd1|sd2",
@@ -21,13 +21,18 @@
 //            independent windows feed the continuous-batching executor, and
 //            every window's RNG stream derives from (seed, window index) —
 //            so the canvas is a pure function of the request, bitwise
-//            identical to the sequential library path (outpaint_grow).
+//            identical to the library path (expand::expand_layout).
 //            Bounds are admission-validated (positive targets >= clip,
 //            seed_raster <= clip, target edge <= 4096, count == 1 ->
-//            "bad_request"); cancellation takes effect between waves. The
-//            response adds {"expand": {"windows", "waves",
-//            "seam_violations", "drc_pass_rate", "target_w", "target_h"}}.
+//            "bad_request"); cancellation takes effect at the next
+//            denoising-step boundary. The response adds {"expand":
+//            {"windows", "waves", "seam_violations", "drc_pass_rate",
+//            "target_w", "target_h"}}.
 //
+// "count" (default 1) is the number of samples; it must lie in
+// [1, max_batch_samples] (the server's running-batch cap, 16 by default,
+// `ppaint_serve --max-batch`), else the request is rejected at admission
+// as "bad_request".
 // "steps" / "eta" are per-request sampler knobs (quality-vs-latency): the
 // strided denoising step count in [2, model T] (0 / absent = model default)
 // and the DDIM stochasticity in [0, 1] (absent = model default).
@@ -48,15 +53,16 @@
 // Rasters travel as the '.'/'#' ASCII art of Raster::to_ascii (rows joined
 // by '\n'), so the protocol needs no binary framing and diffs readably.
 //
-// Determinism contract (the reason micro-batching is safe): a generation
+// Determinism contract (the reason batching is safe): a generation
 // request's result is a pure function of (model weights, op inputs, seed).
 // The reference semantics are sequential execution —
 //   Rng rng(seed);
 //   out   = ddpm.inpaint(known x count, mask x count, rng);   // count draws
 //   bases = {rng.draw_seed() x count};                        // finish tail
 //   recs  = finish_samples(out, templates, bases);
-// — and the server reproduces exactly those per-sample stream bases when it
-// coalesces requests, so batched output is bitwise identical (serve_test).
+// — and the server reproduces exactly those per-sample stream bases when
+// requests share a batch, so batched output is bitwise identical
+// (serve_test).
 #pragma once
 
 #include <cstdint>
@@ -120,7 +126,7 @@ struct GenResponse {
   std::vector<bool> legal;        ///< DRC verdicts (finish only)
   double wait_ms = 0.0;           ///< enqueue -> dequeue
   double e2e_ms = 0.0;            ///< enqueue -> completion
-  int batch_samples = 0;          ///< size of the micro-batch that served it
+  int batch_samples = 0;          ///< peak co-resident samples while it ran
   bool cached = false;            ///< served from the generation cache
                                   ///< (bitwise identical to cold execution)
   // Expansion summary (op "expand" only; is_expand gates the wire field).

@@ -390,6 +390,15 @@ void GenerationServer::submit(GenRequest req,
       return;
     }
   }
+  // A running batch holds at most max_batch_samples samples, so a larger
+  // request could never run; rejecting it here also keeps an absurd count
+  // from allocating its planes on the executor thread.
+  if (req.count < 1 || req.count > cfg_.max_batch_samples) {
+    reject(ErrorCode::kBadRequest,
+           "count must be in [1, " + std::to_string(cfg_.max_batch_samples) +
+               "] (the server's max batch samples)");
+    return;
+  }
   if (req.op == GenRequest::Op::kInpaint) {
     if (req.mask.empty() && req.mask_id >= 0) {
       if (static_cast<std::size_t>(req.mask_id) >= entry->masks.size()) {
@@ -420,7 +429,7 @@ void GenerationServer::submit(GenRequest req,
       hit.id = req.id;
       hit.cached = true;
       hit.wait_ms = 0.0;
-      hit.batch_samples = 0;  // no micro-batch ran
+      hit.batch_samples = 0;  // no batch ran
       hit.e2e_ms = ms_between(t0, Clock::now());
       accepted_.fetch_add(1);
       m.accepted.add(1);
@@ -523,91 +532,6 @@ bool GenerationServer::cancel(std::uint64_t id) {
 }
 
 void GenerationServer::worker_loop(Shard& sh) {
-  if (cfg_.continuous)
-    worker_loop_continuous(sh);
-  else
-    worker_loop_fixed(sh);
-}
-
-void GenerationServer::worker_loop_fixed(Shard& sh) {
-  for (;;) {
-    std::vector<PendingPtr> expired_now;
-    std::vector<PendingPtr> batch;
-    {
-      std::unique_lock<std::mutex> lk(sh.m);
-      sh.cv.wait(lk, [&] {
-        return stop_hard_.load() || draining_.load() || !sh.queue.empty();
-      });
-      if (sh.queue.empty()) {
-        if (draining_.load() || stop_hard_.load()) break;
-        continue;
-      }
-      if (stop_hard_.load()) break;  // destructor flushes the queue
-
-      // Deadline pass: anything already expired completes as "timeout"
-      // without touching the model.
-      const Clock::time_point now = Clock::now();
-      for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-        if (expired(*it, now)) {
-          expired_now.push_back(*it);
-          it = pop_locked(sh, it);
-        } else {
-          ++it;
-        }
-      }
-
-      // Coalesce: the head defines the micro-batch key (registry entry
-      // identity = same preset + checkpoint + clip size + weight
-      // generation, PLUS the sampler schedule — a frozen batch runs every
-      // member in lockstep, so steps/eta must match — PLUS the precision
-      // tier: the forward pass runs one weight table for the whole batch).
-      // Expansions never coalesce: a wavefront's sample count varies wave
-      // to wave, so an expand head runs the executor alone and a queued
-      // expand never rides along in someone else's frozen batch.
-      if (!sh.queue.empty() &&
-          sh.queue.front()->req.op == GenRequest::Op::kExpand) {
-        batch.push_back(sh.queue.front());
-        pop_locked(sh, sh.queue.begin());
-        sh.inflight = batch;
-      } else if (!sh.queue.empty()) {
-        const PendingPtr& head = sh.queue.front();
-        const ModelRegistry::Entry* key = head->entry.get();
-        const int key_steps = head->req.steps;
-        const double key_eta = head->req.eta;
-        const std::string& key_precision = head->req.precision;
-        int samples = 0;
-        for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-          const PendingPtr& p = *it;
-          bool fits = batch.empty() ||
-                      samples + p->req.count <= cfg_.max_batch_samples;
-          if (p->req.op != GenRequest::Op::kExpand &&
-              p->entry.get() == key && p->req.steps == key_steps &&
-              p->req.eta == key_eta && p->req.precision == key_precision &&
-              fits) {
-            samples += p->req.count;
-            batch.push_back(p);
-            it = pop_locked(sh, it);
-            if (samples >= cfg_.max_batch_samples) break;
-          } else {
-            ++it;
-          }
-        }
-        sh.inflight = batch;
-      }
-    }
-
-    for (const PendingPtr& p : expired_now)
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kTimeout,
-                                           "deadline expired in queue"));
-    if (!batch.empty()) {
-      execute_batch(sh, batch);
-      std::lock_guard<std::mutex> lk(sh.m);
-      sh.inflight.clear();
-    }
-  }
-}
-
-void GenerationServer::worker_loop_continuous(Shard& sh) {
   ServeMetrics& m = serve_metrics();
 
   // One running request inside the continuous batch. `mid` namespaces its
@@ -724,7 +648,6 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
       std::vector<Raster> tmpls(mem.raws.size(), tmpl);
       std::vector<GenerationRecord> recs;
       try {
-        const nn::ScopedPrecision guard(precision_of(p->req.precision));
         recs = entry->pp->finish_samples(mem.raws, tmpls, mem.finish_bases);
       } catch (const std::exception& e) {
         finish_response(
@@ -796,8 +719,7 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
             entry = p->entry;
             batch_precision = p->req.precision;
           }
-          const bool fits =
-              active == 0 || active + p->req.count <= cfg_.max_batch_samples;
+          const bool fits = active + p->req.count <= cfg_.max_batch_samples;
           if (p->entry.get() == entry.get() &&
               p->req.precision == batch_precision && fits) {
             active += p->req.count;
@@ -827,6 +749,10 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
       break;
     }
 
+    // Every member of the running batch shares one precision tier, so one
+    // guard covers this iteration's joins, step, commits and finish tails.
+    const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
+
     // Execute the joins: derive each request's stream bases per the
     // sequential reference semantics (Rng(seed) -> count gen bases, then
     // count finish bases; serve/protocol.hpp), assemble its planes and
@@ -834,9 +760,7 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
     // (base, step index), so joining late cannot shift anyone's bits.
     if (!joined.empty()) {
       const Clock::time_point now = Clock::now();
-      const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
       const int clip = entry->cfg.clip_size;
-      const std::size_t plane = static_cast<std::size_t>(clip) * clip;
       const bool was_running = !members.empty();
       int joined_samples = 0;
       for (const PendingPtr& p : joined) {
@@ -884,8 +808,6 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
         for (auto& b : gen_bases) b = rng.draw_seed();
         for (auto& b : mem.finish_bases) b = rng.draw_seed();
 
-        nn::Tensor known({count, 1, clip, clip});
-        nn::Tensor mask({count, 1, clip, clip});
         nn::Tensor kt, mt;
         if (p->req.op == GenRequest::Op::kInpaint) {
           kt = raster_to_tensor(p->req.tmpl);
@@ -894,15 +816,10 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
           kt = nn::Tensor::full({1, 1, clip, clip}, -1.0f);  // empty layout
           mt = nn::Tensor::full({1, 1, clip, clip}, 1.0f);   // regenerate all
         }
-        for (int k = 0; k < count; ++k) {
-          std::copy_n(kt.data(), plane,
-                      known.data() + static_cast<std::size_t>(k) * plane);
-          std::copy_n(mt.data(), plane,
-                      mask.data() + static_cast<std::size_t>(k) * plane);
-        }
         try {
           entry->pp->model().join(
-              st, known, mask, gen_bases, member_tags(mem.mid, count),
+              st, repeat_batch(kt, count), repeat_batch(mt, count), gen_bases,
+              member_tags(mem.mid, count),
               SamplerParams{p->req.steps, static_cast<float>(p->req.eta)});
         } catch (const std::exception& e) {
           drop_inflight(p);
@@ -1003,32 +920,14 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
         continue;
       }
       if (works.empty()) continue;
-      const int clip = entry->cfg.clip_size;
-      const std::size_t plane = static_cast<std::size_t>(clip) * clip;
       const int n = static_cast<int>(works.size());
-      nn::Tensor known({n, 1, clip, clip});
-      nn::Tensor mask({n, 1, clip, clip});
-      std::vector<std::uint64_t> bases, tags;
-      bases.reserve(works.size());
-      tags.reserve(works.size());
-      std::vector<std::uint64_t> seqs;
-      seqs.reserve(works.size());
-      for (int k = 0; k < n; ++k) {
-        nn::Tensor kt = raster_to_tensor(works[static_cast<std::size_t>(k)].known);
-        nn::Tensor mt = mask_to_tensor(works[static_cast<std::size_t>(k)].mask);
-        std::copy_n(kt.data(), plane,
-                    known.data() + static_cast<std::size_t>(k) * plane);
-        std::copy_n(mt.data(), plane,
-                    mask.data() + static_cast<std::size_t>(k) * plane);
-        bases.push_back(works[static_cast<std::size_t>(k)].gen_base);
-        tags.push_back(mem.mid * kTagStride + xp.next_seq);
-        seqs.push_back(xp.next_seq);
-        ++xp.next_seq;
-      }
+      std::vector<std::uint64_t> tags;  // window k: sequence next_seq + k
+      for (std::uint64_t k = 0; k < works.size(); ++k)
+        tags.push_back(mem.mid * kTagStride + xp.next_seq + k);
       try {
-        const nn::ScopedPrecision guard(precision_of(batch_precision));
+        const expand::WindowBatch in = expand::stack_windows(works);
         entry->pp->model().join(
-            st, known, mask, bases, tags,
+            st, in.known, in.mask, in.bases, tags,
             SamplerParams{mem.p->req.steps,
                           static_cast<float>(mem.p->req.eta)});
       } catch (const std::exception& e) {
@@ -1038,9 +937,8 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
         xp.fail_msg = e.what();
         continue;
       }
-      for (int k = 0; k < n; ++k)
-        xp.inflight.emplace(seqs[static_cast<std::size_t>(k)],
-                            std::move(works[static_cast<std::size_t>(k)]));
+      for (expand::WindowWork& w : works)
+        xp.inflight.emplace(xp.next_seq++, std::move(w));
       mem.remaining += n;
       batched_samples_.fetch_add(static_cast<std::uint64_t>(n));
       m.samples.add(static_cast<std::uint64_t>(n));
@@ -1069,7 +967,6 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
           if (mem.p->trace_start_ns != 0)
             obs::record_flow_point("serve.step", mem.p->req.id);
         }
-        const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
         done = entry->pp->model().step(st);
       } catch (const std::exception& e) {
         fail_all(ErrorCode::kInternal, e.what());
@@ -1092,10 +989,6 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
           auto w = mem.xp->inflight.find(k);
           if (w != mem.xp->inflight.end()) {
             try {
-              // The commit's window denoise (finish_samples) runs under the
-              // batch precision, same as the generation that produced it.
-              const nn::ScopedPrecision guard(
-                  precision_of(batch_precision));
               mem.xp->ex->commit(w->second, tensor_to_rasters(f.x)[0]);
             } catch (const std::exception& e) {
               mem.xp->failed = true;
@@ -1130,250 +1023,6 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
   }
 }
 
-void GenerationServer::execute_batch(Shard& sh,
-                                     std::vector<PendingPtr>& batch) {
-  if (batch.front()->req.op == GenRequest::Op::kExpand) {
-    execute_expand(sh, batch.front());
-    return;
-  }
-  PP_TRACE_SPAN("serve.batch");
-  ServeMetrics& m = serve_metrics();
-  const Clock::time_point exec_start = Clock::now();
-  const ModelRegistry::EntryPtr entry = batch.front()->entry;
-  // Coalescing keyed on precision, so the batch is tier-homogeneous: pin
-  // the head's precision for the whole execution (inpaint + finish tail).
-  const nn::ScopedPrecision prec_guard(
-      precision_of(batch.front()->req.precision));
-  const int clip = entry->cfg.clip_size;
-  const std::size_t plane = static_cast<std::size_t>(clip) * clip;
-
-  sh.served.fetch_add(batch.size());
-  int total = 0;
-  for (const PendingPtr& p : batch) total += p->req.count;
-  batches_.fetch_add(1);
-  batched_samples_.fetch_add(static_cast<std::uint64_t>(total));
-  m.batches.add(1);
-  m.samples.add(static_cast<std::uint64_t>(total));
-  m.batch_samples.observe(static_cast<double>(total));
-  if (batch.size() > 1) m.coalesced.add(batch.size());
-  for (const PendingPtr& p : batch) {
-    p->wait_ms_snapshot = ms_between(p->enqueue, exec_start);
-    m.wait_ms.observe(p->wait_ms_snapshot);
-    p->exec_start = exec_start;
-    p->started = true;
-    p->joined_running = batch.size() > 1;
-    // The frozen batch runs the whole schedule as one unit: one step-batch
-    // participation per request in the wide-event log.
-    p->step_batches = 1;
-    if (p->trace_start_ns != 0)
-      obs::record_flow_point("serve.step", p->req.id);
-  }
-
-  // Per-request RNG stream bases, exactly the sequential reference
-  // semantics: Rng(seed) yields `count` inpaint bases then `count` finish
-  // bases (see serve/protocol.hpp). Pure per request, so batch composition
-  // cannot shift anyone's streams.
-  std::vector<std::uint64_t> gen_bases;
-  gen_bases.reserve(static_cast<std::size_t>(total));
-  std::vector<std::vector<std::uint64_t>> finish_bases(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Rng rng(batch[i]->req.seed);
-    for (int k = 0; k < batch[i]->req.count; ++k)
-      gen_bases.push_back(rng.draw_seed());
-    finish_bases[i].resize(static_cast<std::size_t>(batch[i]->req.count));
-    for (auto& b : finish_bases[i]) b = rng.draw_seed();
-  }
-
-  // Assemble the micro-batch tensors: each request contributes `count`
-  // copies of its own (known, mask) planes.
-  nn::Tensor known({total, 1, clip, clip});
-  nn::Tensor mask({total, 1, clip, clip});
-  int cursor = 0;
-  for (const PendingPtr& p : batch) {
-    nn::Tensor kt, mt;
-    if (p->req.op == GenRequest::Op::kInpaint) {
-      kt = raster_to_tensor(p->req.tmpl);
-      mt = mask_to_tensor(p->req.mask);
-    } else {
-      kt = nn::Tensor::full({1, 1, clip, clip}, -1.0f);  // empty layout
-      mt = nn::Tensor::full({1, 1, clip, clip}, 1.0f);   // regenerate all
-    }
-    for (int k = 0; k < p->req.count; ++k, ++cursor) {
-      std::copy_n(kt.data(), plane,
-                  known.data() + static_cast<std::size_t>(cursor) * plane);
-      std::copy_n(mt.data(), plane,
-                  mask.data() + static_cast<std::size_t>(cursor) * plane);
-    }
-  }
-
-  // Cooperative cancellation: abandon the batch between denoising steps
-  // once nobody is left wanting the result.
-  auto abort = [this, &batch] {
-    if (stop_hard_.load()) return true;
-    const Clock::time_point now = Clock::now();
-    for (const PendingPtr& p : batch)
-      if (!p->cancelled.load() && !expired(p, now)) return false;
-    return true;
-  };
-
-  const SamplerParams sampler{batch.front()->req.steps,
-                              static_cast<float>(batch.front()->req.eta)};
-  nn::Tensor out;
-  try {
-    out = entry->pp->model().inpaint(known, mask, gen_bases, sampler, abort);
-  } catch (const std::exception& e) {
-    for (const PendingPtr& p : batch)
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                           e.what()));
-    return;
-  }
-  if (out.numel() == 0) {  // aborted mid-flight
-    for (const PendingPtr& p : batch) {
-      ErrorCode code =
-          p->cancelled.load() ? ErrorCode::kCancelled : ErrorCode::kTimeout;
-      if (stop_hard_.load() && !p->cancelled.load() &&
-          !expired(p, Clock::now()))
-        code = ErrorCode::kDraining;
-      finish_response(p, GenResponse::fail(p->req.id, code,
-                                           "batch abandoned mid-flight"));
-    }
-    return;
-  }
-  std::vector<Raster> raws = tensor_to_rasters(out);
-
-  // Finish tail (template denoise + DRC), batched across every member that
-  // asked for it. finish_samples is per-sample pure, so one flat call is
-  // bitwise the same as per-request calls.
-  std::vector<Raster> fin_raws, fin_tmpls;
-  std::vector<std::uint64_t> fin_bases;
-  std::vector<std::size_t> fin_offset(batch.size(), 0);
-  cursor = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingPtr& p = batch[i];
-    if (p->req.finish) {
-      fin_offset[i] = fin_raws.size();
-      const Raster tmpl = p->req.op == GenRequest::Op::kInpaint
-                              ? p->req.tmpl
-                              : Raster(clip, clip, 0);
-      for (int k = 0; k < p->req.count; ++k) {
-        fin_raws.push_back(raws[static_cast<std::size_t>(cursor + k)]);
-        fin_tmpls.push_back(tmpl);
-      }
-      fin_bases.insert(fin_bases.end(), finish_bases[i].begin(),
-                       finish_bases[i].end());
-    }
-    cursor += p->req.count;
-  }
-  std::vector<GenerationRecord> finished;
-  if (!fin_raws.empty()) {
-    try {
-      finished = entry->pp->finish_samples(fin_raws, fin_tmpls, fin_bases);
-    } catch (const std::exception& e) {
-      for (const PendingPtr& p : batch)
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                             e.what()));
-      return;
-    }
-  }
-
-  cursor = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingPtr& p = batch[i];
-    if (p->cancelled.load()) {
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kCancelled,
-                                           "cancelled while executing"));
-      cursor += p->req.count;
-      continue;
-    }
-    GenResponse resp;
-    resp.id = p->req.id;
-    resp.wait_ms = p->wait_ms_snapshot;
-    resp.batch_samples = total;
-    if (p->req.finish) {
-      for (int k = 0; k < p->req.count; ++k) {
-        const GenerationRecord& rec =
-            finished[fin_offset[i] + static_cast<std::size_t>(k)];
-        resp.patterns.push_back(rec.denoised);
-        resp.legal.push_back(rec.legal);
-      }
-    } else {
-      for (int k = 0; k < p->req.count; ++k)
-        resp.patterns.push_back(raws[static_cast<std::size_t>(cursor + k)]);
-    }
-    cursor += p->req.count;
-    finish_response(p, std::move(resp));
-  }
-}
-
-void GenerationServer::execute_expand(Shard& sh, const PendingPtr& p) {
-  PP_TRACE_SPAN("serve.expand");
-  ServeMetrics& m = serve_metrics();
-  const Clock::time_point exec_start = Clock::now();
-  const ModelRegistry::EntryPtr entry = p->entry;
-  const nn::ScopedPrecision prec_guard(precision_of(p->req.precision));
-
-  sh.served.fetch_add(1);
-  batches_.fetch_add(1);
-  m.batches.add(1);
-  p->wait_ms_snapshot = ms_between(p->enqueue, exec_start);
-  m.wait_ms.observe(p->wait_ms_snapshot);
-  p->exec_start = exec_start;
-  p->started = true;
-  p->step_batches = 1;
-  if (p->trace_start_ns != 0) obs::record_flow_point("serve.step", p->req.id);
-
-  expand::ExpandConfig ecfg;
-  ecfg.sampler =
-      SamplerParams{p->req.steps, static_cast<float>(p->req.eta)};
-  ecfg.denoise_windows = p->req.finish;
-  // Cooperative cancellation between model calls, same verdicts as
-  // execute_batch's abort path.
-  auto abort = [this, &p] {
-    return stop_hard_.load() || p->cancelled.load() ||
-           expired(p, Clock::now());
-  };
-  expand::ExpandResult res;
-  try {
-    res = expand::expand_layout(*entry->pp, p->req.tmpl, p->req.target_w,
-                                p->req.target_h, p->req.seed, ecfg,
-                                /*batch_limit=*/cfg_.max_batch_samples, abort);
-  } catch (const std::exception& e) {
-    finish_response(
-        p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-    return;
-  }
-  if (res.aborted) {
-    ErrorCode code =
-        p->cancelled.load() ? ErrorCode::kCancelled : ErrorCode::kTimeout;
-    if (stop_hard_.load() && !p->cancelled.load() && !expired(p, Clock::now()))
-      code = ErrorCode::kDraining;
-    finish_response(p, GenResponse::fail(p->req.id, code,
-                                         "expansion abandoned mid-flight"));
-    return;
-  }
-  batched_samples_.fetch_add(
-      static_cast<std::uint64_t>(res.stats.windows_generated));
-  m.samples.add(static_cast<std::uint64_t>(res.stats.windows_generated));
-
-  GenResponse resp;
-  resp.id = p->req.id;
-  resp.wait_ms = p->wait_ms_snapshot;
-  resp.batch_samples =
-      std::min(cfg_.max_batch_samples, res.stats.windows_total);
-  resp.is_expand = true;
-  resp.target_w = p->req.target_w;
-  resp.target_h = p->req.target_h;
-  resp.expand_windows = res.stats.windows_total;
-  resp.expand_waves = res.stats.waves;
-  resp.expand_seam_violations = res.stats.seam_violations;
-  resp.expand_drc_pass_rate = res.stats.drc_pass_rate();
-  resp.patterns.push_back(std::move(res.canvas));
-  resp.legal.push_back(res.stats.drc_checked == res.stats.drc_clean);
-  p->expand_windows = res.stats.windows_total;
-  p->expand_waves = res.stats.waves;
-  finish_response(p, std::move(resp));
-}
-
 obs::Json GenerationServer::stats_json() const {
   obs::Json o = obs::Json::object();
   o.set("accepted", obs::Json(accepted_.load()));
@@ -1390,7 +1039,6 @@ obs::Json GenerationServer::stats_json() const {
   o.set("accepting", obs::Json(accepting()));
   o.set("max_queue", obs::Json(cfg_.max_queue));
   o.set("max_batch_samples", obs::Json(cfg_.max_batch_samples));
-  o.set("continuous", obs::Json(cfg_.continuous));
   o.set("shards", obs::Json(shards_.size()));
   obs::Json shard_arr = obs::Json::array();
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -37,10 +37,6 @@
 // completes, then the executors exit. Destruction without shutdown()
 // abandons in-flight work at the next step boundary and fails queued
 // requests with "draining".
-//
-// ServerConfig::continuous = false selects the legacy fixed-batch
-// executor (micro-batch frozen at dequeue, runs to completion), kept so
-// bench_serve can A/B the tail-latency win on identical workloads.
 #pragma once
 
 #include <atomic>
@@ -70,7 +66,9 @@ namespace pp::serve {
 
 struct ServerConfig {
   std::size_t max_queue = 64;  ///< GLOBAL pending bound (admission control)
-  int max_batch_samples = 16;  ///< running-batch cap per shard, in samples
+  /// Running-batch cap per shard, in samples. Also the largest `count` one
+  /// request may carry: admission rejects more as bad_request.
+  int max_batch_samples = 16;
   /// Executor shard count. Each shard owns a slice of the request queue
   /// and its own executor thread; a registry entry's traffic always lands
   /// on shard (route % shards). 1 = the single-executor behaviour.
@@ -78,13 +76,6 @@ struct ServerConfig {
   /// Generation-cache capacity in responses; 0 disables the cache. Hits
   /// are served at admission, bitwise identical to cold execution.
   std::size_t cache_entries = 0;
-  /// Step-level continuous batching (the default): each executor keeps ONE
-  /// running batch, new same-entry requests join at the next denoising-step
-  /// boundary, finished/cancelled/expired samples leave immediately and the
-  /// latent tensor re-packs between steps. false = the legacy fixed-batch
-  /// executor (batch frozen at dequeue, runs to completion) — kept for A/B
-  /// latency benchmarking in bench_serve.
-  bool continuous = true;
   /// Wide-event request log (one NDJSON line per finished/rejected
   /// request). Defaults honor PP_REQLOG / PP_REQLOG_ROTATE_BYTES; an empty
   /// path disables logging.
@@ -115,18 +106,19 @@ class GenerationServer {
   /// Asynchronous submit. `done` runs exactly once: inline (on the calling
   /// thread) when admission rejects the request OR the generation cache
   /// hits, on an executor thread otherwise. Admission resolves the model
-  /// handle, validates shapes and applies the global queue bound; every
-  /// failure is a structured GenResponse, never an exception.
+  /// handle, validates shapes and `count` (1..max_batch_samples) and applies
+  /// the global queue bound; every failure is a structured GenResponse,
+  /// never an exception.
   void submit(GenRequest req, std::function<void(GenResponse)> done);
 
   /// Future-returning convenience wrapper over the callback form.
   std::future<GenResponse> submit(GenRequest req);
 
   /// Cancels a request by id. Queued: removed and completed with
-  /// "cancelled" immediately. In-flight: flagged; the executor abandons the
-  /// batch at the next denoising step once every member is cancelled or
-  /// expired, and the response carries "cancelled" either way. Returns
-  /// false when the id is not pending.
+  /// "cancelled" immediately. In-flight: flagged; at the next denoising-step
+  /// boundary the executor removes the request's samples from the running
+  /// batch (Ddpm::leave) and completes it with "cancelled", while its batch
+  /// mates keep running. Returns false when the id is not pending.
   bool cancel(std::uint64_t id);
 
   bool accepting() const { return !draining_.load(); }
@@ -196,16 +188,8 @@ class GenerationServer {
   };
 
   Shard& shard_for(const ModelRegistry::Entry* entry);
-  void worker_loop(Shard& sh);
-  /// Legacy fixed-batch executor: batch frozen at dequeue (coalescing key =
-  /// registry entry + sampler schedule), runs every step to completion.
-  void worker_loop_fixed(Shard& sh);
   /// Step-level continuous-batching executor (see class comment).
-  void worker_loop_continuous(Shard& sh);
-  void execute_batch(Shard& sh, std::vector<PendingPtr>& batch);
-  /// Fixed-executor expansion path: one request, whole waves per model
-  /// call (never coalesced — its sample count varies wave to wave).
-  void execute_expand(Shard& sh, const PendingPtr& p);
+  void worker_loop(Shard& sh);
   void finish_response(const PendingPtr& p, GenResponse resp);
   /// One wide-event line for an admission reject (accepted requests log
   /// from finish_response).

@@ -7,8 +7,8 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "core/library.hpp"
-#include "core/outpaint.hpp"
 #include "core/patternpaint.hpp"
+#include "expand/expander.hpp"
 #include "patterngen/track_generator.hpp"
 
 namespace pp {
@@ -251,7 +251,7 @@ TEST(Determinism, SameSeedReproducesIdenticalLibrary) {
 
 TEST_F(MiniPipeline, OutpaintGrowsToTargetAndPreservesSeed) {
   const Raster& seed = (*starters_)[0];
-  Raster grown = outpaint_grow(*pp_, seed, 48, 64);
+  Raster grown = expand::expand_layout(*pp_, seed, 48, 64, 0).canvas;
   EXPECT_EQ(grown.width(), 48);
   EXPECT_EQ(grown.height(), 64);
   // Seed pixels are immutable.
@@ -264,18 +264,20 @@ TEST_F(MiniPipeline, OutpaintGrowsToTargetAndPreservesSeed) {
 TEST_F(MiniPipeline, OutpaintExactClipSizeIsIdentityOnSeedRegion) {
   // Target == clip size with a full-clip seed: nothing to generate.
   const Raster& seed = (*starters_)[1];
-  Raster grown = outpaint_grow(*pp_, seed, 32, 32);
+  Raster grown = expand::expand_layout(*pp_, seed, 32, 32, 0).canvas;
   EXPECT_EQ(grown, seed);
 }
 
 TEST_F(MiniPipeline, OutpaintRejectsBadTargets) {
   const Raster& seed = (*starters_)[0];
-  EXPECT_THROW(outpaint_grow(*pp_, seed, 16, 64), Error);  // target < clip
+  // target < clip
+  EXPECT_THROW(expand::expand_layout(*pp_, seed, 16, 64, 0), Error);
   Raster big(64, 64);
-  EXPECT_THROW(outpaint_grow(*pp_, big, 96, 96), Error);  // seed > clip
-  OutpaintConfig bad;
+  // seed > clip
+  EXPECT_THROW(expand::expand_layout(*pp_, big, 96, 96, 0), Error);
+  expand::ExpandConfig bad;
   bad.step_fraction = 0.0;
-  EXPECT_THROW(outpaint_grow(*pp_, seed, 64, 64, bad), Error);
+  EXPECT_THROW(expand::expand_layout(*pp_, seed, 64, 64, 0, bad), Error);
 }
 
 TEST(PatternPaintErrors, GuardsMisuse) {

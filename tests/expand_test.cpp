@@ -1,9 +1,9 @@
 // Tier-1 tests for the expansion subsystem (src/expand): the tiling plan
 // and its dependency edges, the disjoint-commit determinism contract
-// (wavefront == sequential == outpaint_grow, bitwise), seam-aware window
-// DRC idempotence, bounded-memory band streaming, and the serve-side
-// `expand` request type (admission validation, both executors bitwise
-// against the in-process engine, cancellation without a cache insert).
+// (wavefront == sequential, bitwise), seam-aware window DRC idempotence,
+// bounded-memory band streaming, and the serve-side `expand` request type
+// (admission validation, the executor bitwise against the in-process
+// engine, cancellation without a cache insert).
 #include <algorithm>
 #include <chrono>
 #include <future>
@@ -19,7 +19,6 @@
 #include "core/patternpaint.hpp"
 #include "expand/canvas.hpp"
 #include "expand/expander.hpp"
-#include "expand/outpaint.hpp"
 #include "expand/plan.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -161,7 +160,7 @@ TEST(ExpandCanvas, DoubleCommitThrows) {
 // ---------------------------------------------------------------------------
 // Engine determinism (in-process)
 
-TEST(Expander, WavefrontSequentialAndWrapperAreBitwiseIdentical) {
+TEST(Expander, WavefrontAndSequentialAreBitwiseIdentical) {
   auto registry = tiny_registry();
   PatternPaint& pp = *registry->get("t")->pp;
   const Raster seed = seed_raster(16, 16);
@@ -169,18 +168,11 @@ TEST(Expander, WavefrontSequentialAndWrapperAreBitwiseIdentical) {
   const ExpandResult wave = expand_layout(pp, seed, 40, 32, 99, {}, 0);
   const ExpandResult seq = expand_layout(pp, seed, 40, 32, 99, {}, 1);
   const ExpandResult pair = expand_layout(pp, seed, 40, 32, 99, {}, 2);
-  ASSERT_FALSE(wave.aborted);
   EXPECT_TRUE(wave.canvas == seq.canvas);
   EXPECT_TRUE(wave.canvas == pair.canvas);
   EXPECT_EQ(wave.stats.windows_total, seq.stats.windows_total);
   EXPECT_EQ(wave.stats.waves, seq.stats.waves);
   EXPECT_EQ(wave.stats.seam_violations, seq.stats.seam_violations);
-
-  // The legacy wrapper is exactly the sequential schedule.
-  OutpaintConfig oc;
-  oc.seed = 99;
-  const Raster grown = outpaint_grow(pp, seed, 40, 32, oc);
-  EXPECT_TRUE(grown == wave.canvas);
 
   // The seed region survives verbatim.
   for (int y = 0; y < seed.height(); ++y)
@@ -193,20 +185,10 @@ TEST(Expander, WrapperValidatesSeedAndTargets) {
   PatternPaint& pp = *registry->get("t")->pp;
   // Seed larger than the clip and non-positive / sub-clip targets are
   // typed errors, the same contract serve admission enforces.
-  EXPECT_THROW(outpaint_grow(pp, seed_raster(20, 20), 64, 64), Error);
-  EXPECT_THROW(outpaint_grow(pp, seed_raster(8, 8), 0, 64), Error);
-  EXPECT_THROW(outpaint_grow(pp, seed_raster(8, 8), 64, -1), Error);
-  EXPECT_THROW(outpaint_grow(pp, seed_raster(8, 8), 8, 64), Error);
-}
-
-TEST(Expander, AbortLeavesResultMarkedAborted) {
-  auto registry = tiny_registry();
-  PatternPaint& pp = *registry->get("t")->pp;
-  const ExpandResult res =
-      expand_layout(pp, seed_raster(16, 16), 48, 48, 5, {}, 0,
-                    /*abort=*/[] { return true; });
-  EXPECT_TRUE(res.aborted);
-  EXPECT_EQ(res.canvas.width(), 0);
+  EXPECT_THROW(expand_layout(pp, seed_raster(20, 20), 64, 64, 0), Error);
+  EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 0, 64, 0), Error);
+  EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 64, -1, 0), Error);
+  EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 8, 64, 0), Error);
 }
 
 TEST(Expander, SeamDrcIsIdempotentAndRunInvariant) {
@@ -253,7 +235,6 @@ TEST(Expander, StreamedBandsReassembleTheSnapshotCanvas) {
         reassembled(x, y0 + y) = band(x, y);
   };
   const ExpandResult streamed = expand_layout(pp, seed, 40, 40, 12, cfg, 0);
-  ASSERT_FALSE(streamed.aborted);
   EXPECT_EQ(streamed.canvas.width(), 0);  // freed, no snapshot
   EXPECT_TRUE(reassembled == whole.canvas);
 }
@@ -261,36 +242,30 @@ TEST(Expander, StreamedBandsReassembleTheSnapshotCanvas) {
 // ---------------------------------------------------------------------------
 // Serve integration
 
-TEST(ServeExpand, BothExecutorsMatchTheInProcessEngineBitwise) {
+TEST(ServeExpand, ExecutorMatchesTheInProcessEngineBitwise) {
   auto registry = tiny_registry();
   PatternPaint& pp = *registry->get("t")->pp;
   const Raster seed = seed_raster(12, 10);
   const ExpandResult ref = expand_layout(pp, seed, 32, 24, 77, {}, 0);
 
-  for (bool continuous : {true, false}) {
-    ServerConfig cfg;
-    cfg.continuous = continuous;
-    serve::GenerationServer server(registry, cfg);
-    server.start();
-    GenRequest req = expand_req(1, 32, 24, 77);
-    req.tmpl = seed;
-    GenResponse resp = server.submit(std::move(req)).get();
-    ASSERT_TRUE(resp.ok()) << resp.message;
-    ASSERT_EQ(resp.patterns.size(), 1u);
-    EXPECT_TRUE(resp.patterns[0] == ref.canvas)
-        << "executor continuous=" << continuous
-        << " diverged from the in-process engine";
-    EXPECT_TRUE(resp.is_expand);
-    EXPECT_EQ(resp.target_w, 32);
-    EXPECT_EQ(resp.target_h, 24);
-    EXPECT_EQ(resp.expand_windows, ref.stats.windows_total);
-    EXPECT_EQ(resp.expand_waves, ref.stats.waves);
-    EXPECT_EQ(resp.expand_seam_violations, ref.stats.seam_violations);
-    ASSERT_EQ(resp.legal.size(), 1u);
-    EXPECT_EQ(resp.legal[0],
-              ref.stats.drc_checked == ref.stats.drc_clean);
-    server.shutdown();
-  }
+  serve::GenerationServer server(registry);
+  server.start();
+  GenRequest req = expand_req(1, 32, 24, 77);
+  req.tmpl = seed;
+  GenResponse resp = server.submit(std::move(req)).get();
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  ASSERT_EQ(resp.patterns.size(), 1u);
+  EXPECT_TRUE(resp.patterns[0] == ref.canvas)
+      << "executor diverged from the in-process engine";
+  EXPECT_TRUE(resp.is_expand);
+  EXPECT_EQ(resp.target_w, 32);
+  EXPECT_EQ(resp.target_h, 24);
+  EXPECT_EQ(resp.expand_windows, ref.stats.windows_total);
+  EXPECT_EQ(resp.expand_waves, ref.stats.waves);
+  EXPECT_EQ(resp.expand_seam_violations, ref.stats.seam_violations);
+  ASSERT_EQ(resp.legal.size(), 1u);
+  EXPECT_EQ(resp.legal[0], ref.stats.drc_checked == ref.stats.drc_clean);
+  server.shutdown();
 }
 
 TEST(ServeExpand, InterleavesWithSampleTrafficUnperturbed) {

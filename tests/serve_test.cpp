@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -538,7 +539,6 @@ TEST(Serve, ContinuousMixedPrecisionEqualSequential) {
   auto registry = tiny_registry();
   ModelRegistry::EntryPtr entry = registry->get("t");
   ServerConfig cfg;
-  cfg.continuous = true;
   cfg.max_batch_samples = 8;
   GenerationServer server(registry, cfg);
   const char* precs[] = {"fp32", "int8", "bf16", "int8", "fp32"};
@@ -615,6 +615,16 @@ TEST(Serve, AdmissionValidates) {
   bad_mask.mask_id = 9999;
   EXPECT_EQ(server.submit(std::move(bad_mask)).get().error,
             ErrorCode::kBadRequest);
+
+  // count must fit one running batch. The rejection is inline, so a count
+  // that slipped through would sit in this never-started server's queue.
+  const int cap = ServerConfig{}.max_batch_samples;
+  for (int count : {0, -1, cap + 1, INT_MAX}) {
+    std::future<GenResponse> f = server.submit(sample_req(4, 4, count));
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "count " << count << " was queued";
+    EXPECT_EQ(f.get().error, ErrorCode::kBadRequest) << "count " << count;
+  }
 }
 
 // (c) Graceful drain: shutdown() completes everything already accepted,
@@ -941,7 +951,6 @@ TEST(Serve, TracePropagatesRequestContext) {
   std::remove(path.c_str());
   auto registry = tiny_registry();
   ServerConfig cfg;
-  cfg.continuous = true;
   cfg.request_log.path = path;
   GenerationServer server(registry, cfg);
   server.start();
