@@ -95,11 +95,11 @@ Raster DiffPatternModel::generate_topology(Rng& rng) const {
     for (std::size_t i = 0; i < cells; ++i) xt[i] = 2.0f * bits[i] - 1.0f;
     std::vector<float> t_frac{static_cast<float>(t) /
                               static_cast<float>(cfg_.T - 1)};
-    Var logits = net_.forward(xt, t_frac);
+    Tensor logits = net_.infer(xt, t_frac);
     // Sample x0 from the predicted Bernoulli, then renoise to level t-1.
     float keep_prev = keep_probability(t - 1);
     for (std::size_t i = 0; i < cells; ++i) {
-      float p1 = 1.0f / (1.0f + std::exp(-logits->value[i]));
+      float p1 = 1.0f / (1.0f + std::exp(-logits[i]));
       float x0 = rng.bernoulli(p1) ? 1.0f : 0.0f;
       if (t == 0) {
         bits[i] = p1 >= 0.5f ? 1.0f : 0.0f;  // final: MAP decode

@@ -1,7 +1,6 @@
 #include "diffusion/ddpm.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -24,7 +23,10 @@ void DdpmConfig::validate() const {
     fail("unet.in_channels must be 3 (x_t, mask, known)");
   if (unet.out_channels != 1) fail("unet.out_channels must be 1 (epsilon)");
   if (unet.base_channels <= 0) fail("unet.base_channels must be positive");
-  if (unet.time_dim <= 0) fail("unet.time_dim must be positive");
+  // The sinusoid embedding splits time_dim into sin/cos halves and spaces
+  // frequencies over half - 1 intervals.
+  if (unet.time_dim < 4 || unet.time_dim % 2 != 0)
+    fail("unet.time_dim must be even and at least 4");
   if (unet.groups <= 0 || unet.base_channels % unet.groups != 0)
     fail("unet.groups must be positive and divide base_channels");
   if (T <= 0) fail("timesteps T must be positive");
@@ -81,13 +83,10 @@ std::vector<std::uint64_t> sample_bases(int n, Rng& rng) {
   return bases;
 }
 
-/// Shared loss construction for train/finetune: noise, predict, MSE.
-Var diffusion_loss(const Ddpm& model, const UNet& net,
-                   const DiffusionSchedule& sched, const Tensor& x0,
-                   const Tensor& mask, Rng& rng,
-                   const std::function<Tensor(const Tensor&, const Tensor&,
-                                              const Tensor&)>& compose) {
-  (void)model;
+}  // namespace
+
+Var Ddpm::diffusion_loss(const Tensor& x0, const Tensor& mask,
+                         Rng& rng) const {
   int N = x0.dim(0);
   std::vector<float> t_frac(static_cast<std::size_t>(N));
   Tensor eps = x0.zeros_like();
@@ -96,10 +95,10 @@ Var diffusion_loss(const Ddpm& model, const UNet& net,
   std::vector<std::uint64_t> bases = sample_bases(N, rng);
   parallel_for(0, static_cast<std::size_t>(N), [&](std::size_t n) {
     Rng s = Rng::stream(bases[n], kLossStream);
-    int t = s.uniform_int(0, sched.T - 1);
-    t_frac[n] = static_cast<float>(t) / static_cast<float>(sched.T - 1);
-    float sa = sched.sqrt_ab[static_cast<std::size_t>(t)];
-    float sb = sched.sqrt_1m_ab[static_cast<std::size_t>(t)];
+    int t = s.uniform_int(0, sched_.T - 1);
+    t_frac[n] = static_cast<float>(t) / static_cast<float>(sched_.T - 1);
+    float sa = sched_.sqrt_ab[static_cast<std::size_t>(t)];
+    float sb = sched_.sqrt_1m_ab[static_cast<std::size_t>(t)];
     for (std::size_t i = 0; i < per; ++i) {
       std::size_t k = n * per + i;
       float e = static_cast<float>(s.normal());
@@ -107,12 +106,9 @@ Var diffusion_loss(const Ddpm& model, const UNet& net,
       x_t[k] = sa * x0[k] + sb * e;
     }
   });
-  Tensor in = compose(x_t, mask, x0);
-  Var pred = net.forward(in, t_frac);
+  Var pred = net_.forward(compose_input(x_t, mask, x0), t_frac);
   return nn::mse_loss(pred, nn::make_input(eps));
 }
-
-}  // namespace
 
 float Ddpm::train_step(const Tensor& x0, const Tensor& mask, nn::Adam& opt,
                        Rng& rng) const {
@@ -120,11 +116,7 @@ float Ddpm::train_step(const Tensor& x0, const Tensor& mask, nn::Adam& opt,
   PP_REQUIRE_MSG(x0.ndim() == 4 && x0.dim(1) == 1, "train_step: x0 {N,1,H,W}");
   PP_REQUIRE(x0.same_shape(mask));
   opt.zero_grad();
-  Var loss = diffusion_loss(*this, net_, sched_, x0, mask, rng,
-                            [this](const Tensor& xt, const Tensor& m,
-                                   const Tensor& k) {
-                              return compose_input(xt, m, k);
-                            });
+  Var loss = diffusion_loss(x0, mask, rng);
   nn::backward(loss);
   opt.step();
   return loss->value[0];
@@ -136,13 +128,9 @@ float Ddpm::finetune_step(const Tensor& x0, const Tensor& mask,
   PP_TRACE_SPAN("ddpm.finetune_step");
   PP_REQUIRE(lambda_prior >= 0.0f);
   opt.zero_grad();
-  auto compose = [this](const Tensor& xt, const Tensor& m, const Tensor& k) {
-    return compose_input(xt, m, k);
-  };
-  Var loss = diffusion_loss(*this, net_, sched_, x0, mask, rng, compose);
+  Var loss = diffusion_loss(x0, mask, rng);
   if (lambda_prior > 0.0f) {
-    Var prior =
-        diffusion_loss(*this, net_, sched_, prior_x0, prior_mask, rng, compose);
+    Var prior = diffusion_loss(prior_x0, prior_mask, rng);
     loss = nn::add(loss, nn::mul_scalar(prior, lambda_prior));
   }
   nn::backward(loss);

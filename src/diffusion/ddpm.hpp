@@ -37,8 +37,8 @@ struct DdpmConfig {
 
   /// Throws pp::ConfigError on any out-of-domain value (zero timesteps,
   /// sample_steps outside [2, T], eta outside [0, 1], non-positive UNet
-  /// widths, ...) so misconfiguration fails at the API boundary instead of
-  /// crashing deep inside the UNet.
+  /// widths, an odd time_dim or one below 4, ...) so misconfiguration fails
+  /// at the API boundary instead of crashing deep inside the UNet.
   void validate() const;
 };
 
@@ -180,6 +180,10 @@ class Ddpm {
   /// Builds the UNet input batch: concat(x_t, mask, known*(1-mask)).
   nn::Tensor compose_input(const nn::Tensor& x_t, const nn::Tensor& mask,
                            const nn::Tensor& known) const;
+  /// Epsilon-prediction MSE (Eq. 6) of the UNet on x0 noised at one random
+  /// timestep per sample; the graph reaches every parameter.
+  nn::Var diffusion_loss(const nn::Tensor& x0, const nn::Tensor& mask,
+                         Rng& rng) const;
 
   DdpmConfig cfg_;
   DiffusionSchedule sched_;

@@ -1,6 +1,7 @@
 #include "diffusion/unet.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "nn/kernels.hpp"
@@ -13,138 +14,157 @@ using nn::Var;
 
 namespace {
 
-Var conv_weight(int co, int ci, int k, Rng& rng) {
+Tensor conv_weight(int co, int ci, int k, Rng& rng) {
   float stddev = std::sqrt(2.0f / (static_cast<float>(ci) * k * k));
-  return nn::make_param(Tensor::randn({co, ci, k, k}, rng, stddev));
+  return Tensor::randn({co, ci, k, k}, rng, stddev);
 }
 
-Var zeros_bias(int n) { return nn::make_param(Tensor({n})); }
-
-Var linear_weight(int o, int i, Rng& rng) {
+Tensor linear_weight(int o, int i, Rng& rng) {
   float stddev = std::sqrt(2.0f / static_cast<float>(i));
-  return nn::make_param(Tensor::randn({o, i}, rng, stddev));
+  return Tensor::randn({o, i}, rng, stddev);
 }
 
-Var ones_param(int n) { return nn::make_param(Tensor::full({n}, 1.0f)); }
+Tensor ones(int n) { return Tensor::full({n}, 1.0f); }
+
+// --- Tensor mode of run<X> ------------------------------------------------
+//
+// run/res/attn call the nn op names unqualified. With X = Var,
+// argument-dependent lookup finds the autograd ops of pp::nn; with X =
+// Tensor, these overloads run the same kernels in place on the tensor they
+// take by value. UNet.InferMatchesForward* keeps the two modes bit-equal.
+
+const Tensor& tensor_of(const Tensor& t) { return t; }
+const Tensor& tensor_of(const Var& v) { return v->value; }
+
+/// A constant operand: a graph leaf for Var, the tensor itself for Tensor.
+template <class X>
+X leaf(Tensor t) {
+  if constexpr (std::is_same_v<X, Var>) return nn::make_input(std::move(t));
+  else return t;
+}
+
+Tensor conv2d(const Tensor& x, const Var& w, const Var& b, int stride,
+              int pad) {
+  return nn::conv2d_forward(x, w->value, b->value, stride, pad);
+}
+Tensor linear(const Tensor& x, const Var& w, const Var& b) {
+  return nn::linear_forward(x, w->value, b->value);
+}
+Tensor group_norm(const Tensor& x, const Var& gamma, const Var& beta,
+                  int groups) {
+  return nn::group_norm_forward(x, gamma->value, beta->value, groups, 1e-5f);
+}
+Tensor silu(Tensor x) {
+  nn::silu_inplace(x);
+  return x;
+}
+Tensor add(Tensor a, const Tensor& b) {
+  nn::add_inplace(a, b);
+  return a;
+}
+Tensor add_channel_bias(Tensor x, const Tensor& bias) {
+  nn::add_channel_bias_inplace(x, bias);
+  return x;
+}
+Tensor mul_scalar(Tensor a, float s) {
+  nn::scale_inplace(a, s);
+  return a;
+}
+Tensor softmax_lastdim(Tensor x) {
+  nn::softmax_lastdim_inplace(x);
+  return x;
+}
+Tensor reshape(const Tensor& x, std::vector<int> shape) {
+  return x.reshaped(std::move(shape));
+}
+Tensor bmm(const Tensor& a, const Tensor& b) { return nn::bmm_forward(a, b); }
+Tensor transpose_last2(const Tensor& x) {
+  return nn::transpose_last2_forward(x);
+}
+Tensor upsample_nearest2(const Tensor& x) {
+  return nn::upsample_nearest2_forward(x);
+}
+Tensor concat_channels(const Tensor& a, const Tensor& b) {
+  return nn::concat_channels_forward(a, b);
+}
 
 }  // namespace
 
+Var UNet::param(Tensor value) {
+  params_.push_back(nn::make_param(std::move(value)));
+  return params_.back();
+}
+
 UNet::ResBlock UNet::make_res_block(int cin, int cout, Rng& rng) {
   ResBlock rb;
-  rb.cin = cin;
-  rb.cout = cout;
-  rb.gn1_g = ones_param(cin);
-  rb.gn1_b = zeros_bias(cin);
-  rb.conv1_w = conv_weight(cout, cin, 3, rng);
-  rb.conv1_b = zeros_bias(cout);
-  rb.t_w = linear_weight(cout, cfg_.time_dim, rng);
-  rb.t_b = zeros_bias(cout);
-  rb.gn2_g = ones_param(cout);
-  rb.gn2_b = zeros_bias(cout);
-  rb.conv2_w = conv_weight(cout, cout, 3, rng);
-  rb.conv2_b = zeros_bias(cout);
+  rb.gn1_g = param(ones(cin));
+  rb.gn1_b = param(Tensor({cin}));
+  rb.conv1_w = param(conv_weight(cout, cin, 3, rng));
+  rb.conv1_b = param(Tensor({cout}));
+  rb.t_w = param(linear_weight(cout, cfg_.time_dim, rng));
+  rb.t_b = param(Tensor({cout}));
+  rb.gn2_g = param(ones(cout));
+  rb.gn2_b = param(Tensor({cout}));
+  rb.conv2_w = param(conv_weight(cout, cout, 3, rng));
+  rb.conv2_b = param(Tensor({cout}));
   if (cin != cout) {
-    rb.skip_w = conv_weight(cout, cin, 1, rng);
-    rb.skip_b = zeros_bias(cout);
+    rb.skip_w = param(conv_weight(cout, cin, 1, rng));
+    rb.skip_b = param(Tensor({cout}));
   }
   return rb;
 }
 
 UNet::AttentionBlock UNet::make_attention(int channels, Rng& rng) {
   AttentionBlock ab;
-  ab.channels = channels;
-  ab.gn_g = ones_param(channels);
-  ab.gn_b = zeros_bias(channels);
-  ab.q_w = conv_weight(channels, channels, 1, rng);
-  ab.q_b = zeros_bias(channels);
-  ab.k_w = conv_weight(channels, channels, 1, rng);
-  ab.k_b = zeros_bias(channels);
-  ab.v_w = conv_weight(channels, channels, 1, rng);
-  ab.v_b = zeros_bias(channels);
+  ab.gn_g = param(ones(channels));
+  ab.gn_b = param(Tensor({channels}));
+  ab.q_w = param(conv_weight(channels, channels, 1, rng));
+  ab.q_b = param(Tensor({channels}));
+  ab.k_w = param(conv_weight(channels, channels, 1, rng));
+  ab.k_b = param(Tensor({channels}));
+  ab.v_w = param(conv_weight(channels, channels, 1, rng));
+  ab.v_b = param(Tensor({channels}));
   // Zero-init projection: the block starts as the identity.
-  ab.proj_w = nn::make_param(Tensor({channels, channels, 1, 1}));
-  ab.proj_b = zeros_bias(channels);
+  ab.proj_w = param(Tensor({channels, channels, 1, 1}));
+  ab.proj_b = param(Tensor({channels}));
   return ab;
-}
-
-nn::Var UNet::attn_forward(const AttentionBlock& ab, const Var& x) const {
-  int N = x->value.dim(0), C = x->value.dim(1), H = x->value.dim(2),
-      W = x->value.dim(3);
-  int L = H * W;
-  Var h = nn::group_norm(x, ab.gn_g, ab.gn_b, cfg_.groups);
-  Var q = nn::reshape(nn::conv2d(h, ab.q_w, ab.q_b, 1, 0), {N, C, L});
-  Var k = nn::reshape(nn::conv2d(h, ab.k_w, ab.k_b, 1, 0), {N, C, L});
-  Var v = nn::reshape(nn::conv2d(h, ab.v_w, ab.v_b, 1, 0), {N, C, L});
-  // scores[n, i, j] = <q[:, i], k[:, j]> / sqrt(C)
-  Var scores = nn::mul_scalar(nn::bmm(nn::transpose_last2(q), k),
-                              1.0f / std::sqrt(static_cast<float>(C)));
-  Var attn = nn::softmax_lastdim(scores);            // {N, L, L}, rows sum 1
-  Var out = nn::bmm(v, nn::transpose_last2(attn));   // {N, C, L}
-  out = nn::reshape(out, {N, C, H, W});
-  return nn::add(x, nn::conv2d(out, ab.proj_w, ab.proj_b, 1, 0));
 }
 
 UNet::UNet(UNetConfig cfg, Rng& rng) : cfg_(cfg) {
   PP_REQUIRE(cfg_.base_channels % cfg_.groups == 0);
-  PP_REQUIRE(cfg_.time_dim % 2 == 0);
+  PP_REQUIRE(cfg_.time_dim >= 4 && cfg_.time_dim % 2 == 0);
   int C = cfg_.base_channels;
 
-  tmlp1_w_ = linear_weight(cfg_.time_dim, cfg_.time_dim, rng);
-  tmlp1_b_ = zeros_bias(cfg_.time_dim);
-  tmlp2_w_ = linear_weight(cfg_.time_dim, cfg_.time_dim, rng);
-  tmlp2_b_ = zeros_bias(cfg_.time_dim);
+  tmlp1_w_ = param(linear_weight(cfg_.time_dim, cfg_.time_dim, rng));
+  tmlp1_b_ = param(Tensor({cfg_.time_dim}));
+  tmlp2_w_ = param(linear_weight(cfg_.time_dim, cfg_.time_dim, rng));
+  tmlp2_b_ = param(Tensor({cfg_.time_dim}));
 
-  stem_w_ = conv_weight(C, cfg_.in_channels, 3, rng);
-  stem_b_ = zeros_bias(C);
+  stem_w_ = param(conv_weight(C, cfg_.in_channels, 3, rng));
+  stem_b_ = param(Tensor({C}));
 
   rb0_ = make_res_block(C, C, rng);
-  down1_w_ = conv_weight(2 * C, C, 3, rng);
-  down1_b_ = zeros_bias(2 * C);
+  down1_w_ = param(conv_weight(2 * C, C, 3, rng));
+  down1_b_ = param(Tensor({2 * C}));
   rb1_ = make_res_block(2 * C, 2 * C, rng);
-  down2_w_ = conv_weight(4 * C, 2 * C, 3, rng);
-  down2_b_ = zeros_bias(4 * C);
+  down2_w_ = param(conv_weight(4 * C, 2 * C, 3, rng));
+  down2_b_ = param(Tensor({4 * C}));
   rb2_ = make_res_block(4 * C, 4 * C, rng);
   if (cfg_.attention) attn_ = make_attention(4 * C, rng);
 
-  up1_w_ = conv_weight(2 * C, 4 * C, 3, rng);
-  up1_b_ = zeros_bias(2 * C);
+  up1_w_ = param(conv_weight(2 * C, 4 * C, 3, rng));
+  up1_b_ = param(Tensor({2 * C}));
   rb_up1_ = make_res_block(4 * C, 2 * C, rng);  // after concat with skip1
-  up0_w_ = conv_weight(C, 2 * C, 3, rng);
-  up0_b_ = zeros_bias(C);
+  up0_w_ = param(conv_weight(C, 2 * C, 3, rng));
+  up0_b_ = param(Tensor({C}));
   rb_up0_ = make_res_block(2 * C, C, rng);  // after concat with skip0
 
-  head_gn_g_ = ones_param(C);
-  head_gn_b_ = zeros_bias(C);
+  head_gn_g_ = param(ones(C));
+  head_gn_b_ = param(Tensor({C}));
   // Zero-initialized head: the net starts by predicting epsilon = 0, a
   // stable starting point for DDPM training.
-  head_w_ = nn::make_param(Tensor({cfg_.out_channels, C, 3, 3}));
-  head_b_ = zeros_bias(cfg_.out_channels);
-
-  auto push_rb = [this](const ResBlock& rb) {
-    params_.insert(params_.end(),
-                   {rb.gn1_g, rb.gn1_b, rb.conv1_w, rb.conv1_b, rb.t_w, rb.t_b,
-                    rb.gn2_g, rb.gn2_b, rb.conv2_w, rb.conv2_b});
-    if (rb.skip_w) {
-      params_.push_back(rb.skip_w);
-      params_.push_back(rb.skip_b);
-    }
-  };
-  params_ = {tmlp1_w_, tmlp1_b_, tmlp2_w_, tmlp2_b_, stem_w_, stem_b_};
-  push_rb(rb0_);
-  params_.insert(params_.end(), {down1_w_, down1_b_});
-  push_rb(rb1_);
-  params_.insert(params_.end(), {down2_w_, down2_b_});
-  push_rb(rb2_);
-  if (cfg_.attention)
-    params_.insert(params_.end(),
-                   {attn_.gn_g, attn_.gn_b, attn_.q_w, attn_.q_b, attn_.k_w,
-                    attn_.k_b, attn_.v_w, attn_.v_b, attn_.proj_w,
-                    attn_.proj_b});
-  params_.insert(params_.end(), {up1_w_, up1_b_});
-  push_rb(rb_up1_);
-  params_.insert(params_.end(), {up0_w_, up0_b_});
-  push_rb(rb_up0_);
-  params_.insert(params_.end(), {head_gn_g_, head_gn_b_, head_w_, head_b_});
+  head_w_ = param(Tensor({cfg_.out_channels, C, 3, 3}));
+  head_b_ = param(Tensor({cfg_.out_channels}));
 }
 
 Tensor UNet::sinusoid_embedding(const std::vector<float>& t_frac) const {
@@ -164,149 +184,77 @@ Tensor UNet::sinusoid_embedding(const std::vector<float>& t_frac) const {
   return emb;
 }
 
-Var UNet::time_embedding(const std::vector<float>& t_frac) const {
-  Var e = nn::make_input(sinusoid_embedding(t_frac));
-  e = nn::silu(nn::linear(e, tmlp1_w_, tmlp1_b_));
-  return nn::linear(e, tmlp2_w_, tmlp2_b_);
+// Var-mode operand order (add(h, shortcut), add(x, proj)) fixes the graph
+// and so the order in which backward accumulates gradients.
+
+template <class X>
+X UNet::res(const ResBlock& rb, const X& x, const X& temb) const {
+  X h = conv2d(silu(group_norm(x, rb.gn1_g, rb.gn1_b, cfg_.groups)),
+               rb.conv1_w, rb.conv1_b, 1, 1);
+  // Per-sample per-channel time shift.
+  h = add_channel_bias(std::move(h), linear(temb, rb.t_w, rb.t_b));
+  h = conv2d(silu(group_norm(h, rb.gn2_g, rb.gn2_b, cfg_.groups)),
+             rb.conv2_w, rb.conv2_b, 1, 1);
+  if (rb.skip_w)
+    return add(std::move(h), conv2d(x, rb.skip_w, rb.skip_b, 1, 0));
+  return add(std::move(h), x);
 }
 
-Var UNet::res_forward(const ResBlock& rb, const Var& x, const Var& temb) const {
-  Var h = nn::group_norm(x, rb.gn1_g, rb.gn1_b, cfg_.groups);
-  h = nn::silu(h);
-  h = nn::conv2d(h, rb.conv1_w, rb.conv1_b, 1, 1);
-  // Per-sample per-channel time shift.
-  Var tproj = nn::linear(temb, rb.t_w, rb.t_b);  // {N, cout}
-  h = nn::add_channel_bias(h, tproj);
-  h = nn::group_norm(h, rb.gn2_g, rb.gn2_b, cfg_.groups);
-  h = nn::silu(h);
-  h = nn::conv2d(h, rb.conv2_w, rb.conv2_b, 1, 1);
-  Var shortcut = x;
-  if (rb.skip_w) shortcut = nn::conv2d(x, rb.skip_w, rb.skip_b, 1, 0);
-  return nn::add(h, shortcut);
+template <class X>
+X UNet::attn(const AttentionBlock& ab, X x) const {
+  const Tensor& xv = tensor_of(x);
+  int N = xv.dim(0), C = xv.dim(1), H = xv.dim(2), W = xv.dim(3);
+  int L = H * W;
+  X h = group_norm(x, ab.gn_g, ab.gn_b, cfg_.groups);
+  X q = reshape(conv2d(h, ab.q_w, ab.q_b, 1, 0), {N, C, L});
+  X k = reshape(conv2d(h, ab.k_w, ab.k_b, 1, 0), {N, C, L});
+  X v = reshape(conv2d(h, ab.v_w, ab.v_b, 1, 0), {N, C, L});
+  // scores[n, i, j] = <q[:, i], k[:, j]> / sqrt(C); rows softmax to 1.
+  float scale = 1.0f / std::sqrt(static_cast<float>(C));
+  X scores = softmax_lastdim(mul_scalar(bmm(transpose_last2(q), k), scale));
+  X out = reshape(bmm(v, transpose_last2(scores)), {N, C, H, W});
+  return add(std::move(x), conv2d(out, ab.proj_w, ab.proj_b, 1, 0));
+}
+
+template <class X>
+X UNet::run(const X& x, const std::vector<float>& t_frac) const {
+  const Tensor& in = tensor_of(x);
+  PP_REQUIRE_MSG(in.ndim() == 4 && in.dim(1) == cfg_.in_channels,
+                 "UNet: bad input shape " + in.shape_str());
+  PP_REQUIRE_MSG(in.dim(2) % 4 == 0 && in.dim(3) % 4 == 0,
+                 "UNet: H and W must be divisible by 4");
+  PP_REQUIRE_MSG(static_cast<int>(t_frac.size()) == in.dim(0),
+                 "UNet: one timestep per sample required");
+  X temb = linear(silu(linear(leaf<X>(sinusoid_embedding(t_frac)), tmlp1_w_,
+                              tmlp1_b_)),
+                  tmlp2_w_, tmlp2_b_);
+
+  X h0 = res(rb0_, conv2d(x, stem_w_, stem_b_, 1, 1), temb);     // C  @ H
+  X h1 = res(rb1_, conv2d(h0, down1_w_, down1_b_, 2, 1), temb);  // 2C @ H/2
+  X h2 = res(rb2_, conv2d(h1, down2_w_, down2_b_, 2, 1), temb);  // 4C @ H/4
+  if (cfg_.attention) h2 = attn(attn_, std::move(h2));
+
+  // Each concat replaces its input before the block runs, so infer frees
+  // the pre-concat activation first.
+  X u1 = conv2d(upsample_nearest2(h2), up1_w_, up1_b_, 1, 1);  // 2C @ H/2
+  u1 = concat_channels(u1, h1);                                // 4C
+  u1 = res(rb_up1_, u1, temb);                                 // 2C
+  X u0 = conv2d(upsample_nearest2(u1), up0_w_, up0_b_, 1, 1);  // C @ H
+  u0 = concat_channels(u0, h0);                                // 2C
+  u0 = res(rb_up0_, u0, temb);                                 // C
+
+  return conv2d(silu(group_norm(u0, head_gn_g_, head_gn_b_, cfg_.groups)),
+                head_w_, head_b_, 1, 1);
 }
 
 Var UNet::forward(const Tensor& x, const std::vector<float>& t_frac) const {
   PP_TRACE_SPAN("unet.forward");
-  PP_REQUIRE_MSG(x.ndim() == 4 && x.dim(1) == cfg_.in_channels,
-                 "UNet::forward: bad input shape " + x.shape_str());
-  PP_REQUIRE_MSG(x.dim(2) % 4 == 0 && x.dim(3) % 4 == 0,
-                 "UNet::forward: H and W must be divisible by 4");
-  PP_REQUIRE_MSG(static_cast<int>(t_frac.size()) == x.dim(0),
-                 "UNet::forward: one timestep per sample required");
-  Var temb = time_embedding(t_frac);
-  Var inp = nn::make_input(x);
-
-  Var h0 = nn::conv2d(inp, stem_w_, stem_b_, 1, 1);
-  h0 = res_forward(rb0_, h0, temb);                       // C   @ H
-  Var h1 = nn::conv2d(h0, down1_w_, down1_b_, 2, 1);      // 2C  @ H/2
-  h1 = res_forward(rb1_, h1, temb);
-  Var h2 = nn::conv2d(h1, down2_w_, down2_b_, 2, 1);      // 4C  @ H/4
-  h2 = res_forward(rb2_, h2, temb);
-  if (cfg_.attention) h2 = attn_forward(attn_, h2);
-
-  Var u1 = nn::upsample_nearest2(h2);
-  u1 = nn::conv2d(u1, up1_w_, up1_b_, 1, 1);              // 2C @ H/2
-  u1 = nn::concat_channels(u1, h1);                       // 4C
-  u1 = res_forward(rb_up1_, u1, temb);                    // 2C
-
-  Var u0 = nn::upsample_nearest2(u1);
-  u0 = nn::conv2d(u0, up0_w_, up0_b_, 1, 1);              // C @ H
-  u0 = nn::concat_channels(u0, h0);                       // 2C
-  u0 = res_forward(rb_up0_, u0, temb);                    // C
-
-  Var out = nn::group_norm(u0, head_gn_g_, head_gn_b_, cfg_.groups);
-  out = nn::silu(out);
-  return nn::conv2d(out, head_w_, head_b_, 1, 1);
-}
-
-// --- Graph-free inference path ----------------------------------------------
-//
-// Each helper below is the Tensor-level twin of its Var counterpart and must
-// call the same kernels in the same order so infer() stays bit-identical to
-// forward()->value (diffusion_test asserts this). Fusing an activation into
-// a GEMM epilogue is allowed: the epilogue runs the identical value-pure
-// kernel a separate pass would, so the bits cannot differ.
-
-Tensor UNet::time_embedding_infer(const std::vector<float>& t_frac) const {
-  Tensor e = nn::linear_forward(sinusoid_embedding(t_frac), tmlp1_w_->value,
-                                tmlp1_b_->value, nn::Act::kSilu);
-  return nn::linear_forward(e, tmlp2_w_->value, tmlp2_b_->value);
-}
-
-Tensor UNet::res_infer(const ResBlock& rb, const Tensor& x,
-                       const Tensor& temb) const {
-  Tensor h = nn::group_norm_forward(x, rb.gn1_g->value, rb.gn1_b->value,
-                                    cfg_.groups, 1e-5f);
-  nn::silu_inplace(h);
-  h = nn::conv2d_forward(h, rb.conv1_w->value, rb.conv1_b->value, 1, 1);
-  Tensor tproj = nn::linear_forward(temb, rb.t_w->value, rb.t_b->value);
-  nn::add_channel_bias_inplace(h, tproj);
-  h = nn::group_norm_forward(h, rb.gn2_g->value, rb.gn2_b->value, cfg_.groups,
-                             1e-5f);
-  nn::silu_inplace(h);
-  h = nn::conv2d_forward(h, rb.conv2_w->value, rb.conv2_b->value, 1, 1);
-  if (rb.skip_w) {
-    nn::add_inplace(
-        h, nn::conv2d_forward(x, rb.skip_w->value, rb.skip_b->value, 1, 0));
-  } else {
-    nn::add_inplace(h, x);
-  }
-  return h;
-}
-
-Tensor UNet::attn_infer(const AttentionBlock& ab, const Tensor& x) const {
-  int N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  int L = H * W;
-  Tensor h = nn::group_norm_forward(x, ab.gn_g->value, ab.gn_b->value,
-                                    cfg_.groups, 1e-5f);
-  Tensor q =
-      nn::conv2d_forward(h, ab.q_w->value, ab.q_b->value, 1, 0).reshaped({N, C, L});
-  Tensor k =
-      nn::conv2d_forward(h, ab.k_w->value, ab.k_b->value, 1, 0).reshaped({N, C, L});
-  Tensor v =
-      nn::conv2d_forward(h, ab.v_w->value, ab.v_b->value, 1, 0).reshaped({N, C, L});
-  Tensor scores = nn::bmm_forward(nn::transpose_last2_forward(q), k);
-  nn::scale_inplace(scores, 1.0f / std::sqrt(static_cast<float>(C)));
-  nn::softmax_lastdim_inplace(scores);
-  Tensor out = nn::bmm_forward(v, nn::transpose_last2_forward(scores))
-                   .reshaped({N, C, H, W});
-  out = nn::conv2d_forward(out, ab.proj_w->value, ab.proj_b->value, 1, 0);
-  nn::add_inplace(out, x);
-  return out;
+  return run(nn::make_input(x), t_frac);
 }
 
 Tensor UNet::infer(const Tensor& x, const std::vector<float>& t_frac) const {
   PP_TRACE_SPAN("unet.infer");
-  PP_REQUIRE_MSG(x.ndim() == 4 && x.dim(1) == cfg_.in_channels,
-                 "UNet::infer: bad input shape " + x.shape_str());
-  PP_REQUIRE_MSG(x.dim(2) % 4 == 0 && x.dim(3) % 4 == 0,
-                 "UNet::infer: H and W must be divisible by 4");
-  PP_REQUIRE_MSG(static_cast<int>(t_frac.size()) == x.dim(0),
-                 "UNet::infer: one timestep per sample required");
-  Tensor temb = time_embedding_infer(t_frac);
-
-  Tensor h0 = nn::conv2d_forward(x, stem_w_->value, stem_b_->value, 1, 1);
-  h0 = res_infer(rb0_, h0, temb);                                 // C   @ H
-  Tensor h1 = nn::conv2d_forward(h0, down1_w_->value, down1_b_->value, 2, 1);
-  h1 = res_infer(rb1_, h1, temb);                                 // 2C  @ H/2
-  Tensor h2 = nn::conv2d_forward(h1, down2_w_->value, down2_b_->value, 2, 1);
-  h2 = res_infer(rb2_, h2, temb);                                 // 4C  @ H/4
-  if (cfg_.attention) h2 = attn_infer(attn_, h2);
-
-  Tensor u1 = nn::upsample_nearest2_forward(h2);
-  u1 = nn::conv2d_forward(u1, up1_w_->value, up1_b_->value, 1, 1);  // 2C @ H/2
-  u1 = nn::concat_channels_forward(u1, h1);                         // 4C
-  u1 = res_infer(rb_up1_, u1, temb);                                // 2C
-
-  Tensor u0 = nn::upsample_nearest2_forward(u1);
-  u0 = nn::conv2d_forward(u0, up0_w_->value, up0_b_->value, 1, 1);  // C @ H
-  u0 = nn::concat_channels_forward(u0, h0);                         // 2C
-  u0 = res_infer(rb_up0_, u0, temb);                                // C
-
-  Tensor out = nn::group_norm_forward(u0, head_gn_g_->value,
-                                      head_gn_b_->value, cfg_.groups, 1e-5f);
-  nn::silu_inplace(out);
-  return nn::conv2d_forward(out, head_w_->value, head_b_->value, 1, 1);
+  return run(x, t_frac);
 }
 
 }  // namespace pp

@@ -52,10 +52,9 @@ class UNet {
   /// reaches all parameters, so backward() on a loss trains the net.
   nn::Var forward(const nn::Tensor& x, const std::vector<float>& t_frac) const;
 
-  /// Graph-free inference fast path. Computes exactly the same function as
-  /// forward() (same kernels, bit-identical output) but operates on plain
-  /// Tensors: no autograd Node allocation, no backprop closures, no graph
-  /// retention. Use for sampling; use forward() whenever gradients are
+  /// Graph-free inference: the same network as forward() (bit-identical
+  /// output) on plain Tensors, with no autograd Node, backprop closure or
+  /// retained graph. Use for sampling; use forward() whenever gradients are
   /// needed (see DESIGN.md "infer vs forward").
   nn::Tensor infer(const nn::Tensor& x, const std::vector<float>& t_frac) const;
 
@@ -73,29 +72,29 @@ class UNet {
     nn::Var gn2_g, gn2_b;
     nn::Var conv2_w, conv2_b;
     nn::Var skip_w, skip_b;  ///< 1x1, only when cin != cout
-    int cin = 0, cout = 0;
   };
 
   struct AttentionBlock {
     nn::Var gn_g, gn_b;
     nn::Var q_w, q_b, k_w, k_b, v_w, v_b;  ///< 1x1 projections
     nn::Var proj_w, proj_b;
-    int channels = 0;
   };
 
+  /// Makes a trainable parameter and appends it to params_, so the
+  /// parameter (and checkpoint) order is the creation order.
+  nn::Var param(nn::Tensor value);
   ResBlock make_res_block(int cin, int cout, Rng& rng);
   AttentionBlock make_attention(int channels, Rng& rng);
-  nn::Var res_forward(const ResBlock& rb, const nn::Var& x,
-                      const nn::Var& temb) const;
-  nn::Var attn_forward(const AttentionBlock& ab, const nn::Var& x) const;
-  nn::Var time_embedding(const std::vector<float>& t_frac) const;
-
-  // Graph-free twins of the helpers above, on plain Tensors.
   nn::Tensor sinusoid_embedding(const std::vector<float>& t_frac) const;
-  nn::Tensor time_embedding_infer(const std::vector<float>& t_frac) const;
-  nn::Tensor res_infer(const ResBlock& rb, const nn::Tensor& x,
-                       const nn::Tensor& temb) const;
-  nn::Tensor attn_infer(const AttentionBlock& ab, const nn::Tensor& x) const;
+
+  // The network, written once. X = nn::Var builds the autograd graph
+  // (forward); X = nn::Tensor runs the same kernels graph-free (infer).
+  template <class X>
+  X run(const X& x, const std::vector<float>& t_frac) const;
+  template <class X>
+  X res(const ResBlock& rb, const X& x, const X& temb) const;
+  template <class X>
+  X attn(const AttentionBlock& ab, X x) const;
 
   UNetConfig cfg_;
   // Time MLP.

@@ -2,10 +2,11 @@
 // NN ops, operating on plain Tensors with no autograd Node allocation.
 //
 // Two consumers share these:
-//   * the autograd wrappers in ops.cpp, which call them for values and
-//     wrap the results in Nodes;
-//   * UNet::infer / the DDPM sampler, which call them directly so a
-//     sampling step builds no graph at all.
+//   * the autograd ops in ops.cpp, which call them for values and wrap the
+//     results in Nodes;
+//   * the Tensor overloads in unet.cpp that UNet::infer (and so the DDPM
+//     sampler) runs the network through, so a sampling step builds no graph
+//     at all.
 //
 // conv2d dispatches between two algorithms:
 //   * kDirect — the original nested-loop convolution, cheapest for tiny

@@ -265,23 +265,6 @@ void silu_avx2(const float* x, float* y, std::size_t n) {
   }
 }
 
-void sigmoid_avx2(const float* x, float* y, std::size_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 v = _mm256_loadu_ps(x + i);
-    __m256 den = _mm256_add_ps(one, exp256(_mm256_sub_ps(zero, v)));
-    _mm256_storeu_ps(y + i, _mm256_div_ps(one, den));
-  }
-  if (i < n) {
-    const __m256i mask = tail_mask(static_cast<int>(n - i));
-    __m256 v = _mm256_maskload_ps(x + i, mask);
-    __m256 den = _mm256_add_ps(one, exp256(_mm256_sub_ps(zero, v)));
-    _mm256_maskstore_ps(y + i, mask, _mm256_div_ps(one, den));
-  }
-}
-
 void relu_avx2(const float* x, float* y, std::size_t n) {
   const __m256 zero = _mm256_setzero_ps();
   std::size_t i = 0;
@@ -684,7 +667,7 @@ void widen_bf16_avx2(const std::uint16_t* x, float* out, std::size_t n) {
 const KernelTable* avx2_kernels() {
   static const KernelTable table = {
       gemm_nn_avx2,    gemm_nt_avx2, gemm_tn_avx2,
-      silu_avx2,       sigmoid_avx2, relu_avx2,
+      silu_avx2,       relu_avx2,
       add_avx2,        mul_avx2,     scale_avx2,
       add_const_avx2,  axpy_avx2,
       reduce_sum_sumsq_avx2, normalize_affine_avx2,

@@ -246,23 +246,6 @@ void silu_avx512(const float* x, float* y, std::size_t n) {
   }
 }
 
-void sigmoid_avx512(const float* x, float* y, std::size_t n) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512 v = _mm512_loadu_ps(x + i);
-    __m512 den = _mm512_add_ps(one, exp512(_mm512_sub_ps(zero, v)));
-    _mm512_storeu_ps(y + i, _mm512_div_ps(one, den));
-  }
-  if (i < n) {
-    const __mmask16 mask = tail_mask16(static_cast<int>(n - i));
-    __m512 v = _mm512_maskz_loadu_ps(mask, x + i);
-    __m512 den = _mm512_add_ps(one, exp512(_mm512_sub_ps(zero, v)));
-    _mm512_mask_storeu_ps(y + i, mask, _mm512_div_ps(one, den));
-  }
-}
-
 void relu_avx512(const float* x, float* y, std::size_t n) {
   const __m512 zero = _mm512_setzero_ps();
   std::size_t i = 0;
@@ -671,7 +654,7 @@ void widen_bf16_avx512(const std::uint16_t* x, float* out, std::size_t n) {
 const KernelTable* avx512_kernels() {
   static const KernelTable table = {
       gemm_nn_avx512,    gemm_nt_avx512, gemm_tn_avx512,
-      silu_avx512,       sigmoid_avx512, relu_avx512,
+      silu_avx512,       relu_avx512,
       add_avx512,        mul_avx512,     scale_avx512,
       add_const_avx512,  axpy_avx512,
       reduce_sum_sumsq_avx512, normalize_affine_avx512,

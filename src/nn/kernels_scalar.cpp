@@ -124,10 +124,6 @@ void silu_scalar(const float* x, float* y, std::size_t n) {
   }
 }
 
-void sigmoid_scalar(const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-}
-
 void relu_scalar(const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0 ? x[i] : 0.0f;
 }
@@ -243,7 +239,7 @@ void widen_bf16_scalar(const std::uint16_t* x, float* out, std::size_t n) {
 const KernelTable& scalar_kernels() {
   static const KernelTable table = {
       gemm_nn_scalar,    gemm_nt_scalar, gemm_tn_scalar,
-      silu_scalar,       sigmoid_scalar, relu_scalar,
+      silu_scalar,       relu_scalar,
       add_scalar,        mul_scalar,     scale_scalar,
       add_const_scalar,  axpy_scalar,
       reduce_sum_sumsq_scalar, normalize_affine_scalar,

@@ -39,19 +39,6 @@ Var add(const Var& a, const Var& b) {
                  "add");
 }
 
-Var sub(const Var& a, const Var& b) {
-  require_same_shape(a, b, "sub");
-  Tensor out = a->value;
-  out.add_scaled(b->value, -1.0f);
-  return make_op(std::move(out), {a, b},
-                 [](Node& n) {
-                   accumulate(*n.parents[0], n.grad);
-                   if (n.parents[1]->requires_grad)
-                     n.parents[1]->ensure_grad().add_scaled(n.grad, -1.0f);
-                 },
-                 "sub");
-}
-
 Var mul(const Var& a, const Var& b) {
   require_same_shape(a, b, "mul");
   Tensor out = a->value.zeros_like();
@@ -102,14 +89,6 @@ Var mul_scalar(const Var& a, float s) {
                  "mul_scalar");
 }
 
-Var add_scalar(const Var& a, float s) {
-  Tensor out = a->value;
-  detail::active_kernels().add_const(out.data(), s, out.numel());
-  return make_op(std::move(out), {a},
-                 [](Node& n) { accumulate(*n.parents[0], n.grad); },
-                 "add_scalar");
-}
-
 Var silu(const Var& x) {
   Tensor out = silu_forward(x->value);
   return make_op(std::move(out), {x},
@@ -155,38 +134,6 @@ Var relu(const Var& x) {
                                     });
                  },
                  "relu");
-}
-
-Var sigmoid(const Var& x) {
-  Tensor out = x->value.zeros_like();
-  detail::active_kernels().sigmoid(x->value.data(), out.data(), out.numel());
-  return make_op(std::move(out), {x},
-                 [](Node& n) {
-                   Node& x = *n.parents[0];
-                   if (!x.requires_grad) return;
-                   Tensor& gx = x.ensure_grad();
-                   for (std::size_t i = 0; i < n.grad.numel(); ++i) {
-                     float y = n.value[i];
-                     gx[i] += n.grad[i] * y * (1.0f - y);
-                   }
-                 },
-                 "sigmoid");
-}
-
-Var tanh_op(const Var& x) {
-  Tensor out = x->value.zeros_like();
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(x->value[i]);
-  return make_op(std::move(out), {x},
-                 [](Node& n) {
-                   Node& x = *n.parents[0];
-                   if (!x.requires_grad) return;
-                   Tensor& gx = x.ensure_grad();
-                   for (std::size_t i = 0; i < n.grad.numel(); ++i) {
-                     float y = n.value[i];
-                     gx[i] += n.grad[i] * (1.0f - y * y);
-                   }
-                 },
-                 "tanh");
 }
 
 // --- Shape / structure -------------------------------------------------------
@@ -441,40 +388,6 @@ Var upsample_nearest2(const Var& x) {
                  "upsample_nearest2");
 }
 
-Var avg_pool2(const Var& x) {
-  PP_REQUIRE_MSG(x->value.ndim() == 4, "avg_pool2 needs 4-D input");
-  int N = x->value.dim(0), C = x->value.dim(1), H = x->value.dim(2),
-      W = x->value.dim(3);
-  PP_REQUIRE_MSG(H % 2 == 0 && W % 2 == 0, "avg_pool2 needs even H and W");
-  Tensor out({N, C, H / 2, W / 2});
-  for (int n = 0; n < N; ++n)
-    for (int c = 0; c < C; ++c)
-      for (int h = 0; h < H / 2; ++h)
-        for (int w = 0; w < W / 2; ++w)
-          out.at4(n, c, h, w) =
-              0.25f * (x->value.at4(n, c, 2 * h, 2 * w) +
-                       x->value.at4(n, c, 2 * h, 2 * w + 1) +
-                       x->value.at4(n, c, 2 * h + 1, 2 * w) +
-                       x->value.at4(n, c, 2 * h + 1, 2 * w + 1));
-  return make_op(std::move(out), {x},
-                 [N, C, H, W](Node& n) {
-                   Node& x = *n.parents[0];
-                   if (!x.requires_grad) return;
-                   Tensor& gx = x.ensure_grad();
-                   for (int i = 0; i < N; ++i)
-                     for (int c = 0; c < C; ++c)
-                       for (int h = 0; h < H / 2; ++h)
-                         for (int w = 0; w < W / 2; ++w) {
-                           float g = 0.25f * n.grad.at4(i, c, h, w);
-                           gx.at4(i, c, 2 * h, 2 * w) += g;
-                           gx.at4(i, c, 2 * h, 2 * w + 1) += g;
-                           gx.at4(i, c, 2 * h + 1, 2 * w) += g;
-                           gx.at4(i, c, 2 * h + 1, 2 * w + 1) += g;
-                         }
-                 },
-                 "avg_pool2");
-}
-
 // --- GroupNorm ----------------------------------------------------------------
 
 Var group_norm(const Var& x, const Var& gamma, const Var& beta, int groups,
@@ -582,71 +495,6 @@ Var mse_loss(const Var& pred, const Var& target) {
                    }
                  },
                  "mse_loss");
-}
-
-Var masked_mse_loss(const Var& pred, const Var& target, const Tensor& mask) {
-  require_same_shape(pred, target, "masked_mse_loss");
-  bool broadcast = !mask.same_shape(pred->value);
-  if (broadcast) {
-    PP_REQUIRE_MSG(pred->value.ndim() == 4 && mask.ndim() == 4 &&
-                       mask.dim(0) == pred->value.dim(0) && mask.dim(1) == 1 &&
-                       mask.dim(2) == pred->value.dim(2) &&
-                       mask.dim(3) == pred->value.dim(3),
-                   "masked_mse_loss: mask must match pred or be {N,1,H,W}");
-  }
-  int C = broadcast ? pred->value.dim(1) : 1;
-  std::size_t plane = broadcast
-                          ? static_cast<std::size_t>(pred->value.dim(2)) *
-                                pred->value.dim(3)
-                          : 0;
-  auto mask_at = [&](std::size_t i) -> float {
-    if (!broadcast) return mask[i];
-    // i indexes {N,C,H,W}; map to {N,1,H,W}.
-    std::size_t hw = i % plane;
-    std::size_t n = i / (plane * static_cast<std::size_t>(C));
-    return mask[n * plane + hw];
-  };
-  double s = 0, cnt = 0;
-  for (std::size_t i = 0; i < pred->value.numel(); ++i) {
-    float m = mask_at(i);
-    if (m == 0.0f) continue;
-    double d = static_cast<double>(pred->value[i]) - target->value[i];
-    s += m * d * d;
-    cnt += m;
-  }
-  Tensor out({1});
-  out[0] = cnt > 0 ? static_cast<float>(s / cnt) : 0.0f;
-  auto mask_copy = std::make_shared<Tensor>(mask);
-  double denom = cnt > 0 ? cnt : 1.0;
-  return make_op(std::move(out), {pred, target},
-                 [mask_copy, denom, broadcast, C, plane](Node& n) {
-                   Node& p = *n.parents[0];
-                   Node& t = *n.parents[1];
-                   auto mask_at = [&](std::size_t i) -> float {
-                     if (!broadcast) return (*mask_copy)[i];
-                     std::size_t hw = i % plane;
-                     std::size_t nn = i / (plane * static_cast<std::size_t>(C));
-                     return (*mask_copy)[nn * plane + hw];
-                   };
-                   float scale = 2.0f * n.grad[0] / static_cast<float>(denom);
-                   if (p.requires_grad) {
-                     Tensor& gp = p.ensure_grad();
-                     for (std::size_t i = 0; i < p.value.numel(); ++i) {
-                       float m = mask_at(i);
-                       if (m != 0.0f)
-                         gp[i] += scale * m * (p.value[i] - t.value[i]);
-                     }
-                   }
-                   if (t.requires_grad) {
-                     Tensor& gt = t.ensure_grad();
-                     for (std::size_t i = 0; i < p.value.numel(); ++i) {
-                       float m = mask_at(i);
-                       if (m != 0.0f)
-                         gt[i] -= scale * m * (p.value[i] - t.value[i]);
-                     }
-                   }
-                 },
-                 "masked_mse_loss");
 }
 
 Var bce_with_logits(const Var& logits, const Var& target) {

@@ -12,14 +12,10 @@ namespace pp::nn {
 
 // --- Elementwise -------------------------------------------------------------
 Var add(const Var& a, const Var& b);        ///< a + b (same shape)
-Var sub(const Var& a, const Var& b);        ///< a - b
 Var mul(const Var& a, const Var& b);        ///< elementwise product
 Var mul_scalar(const Var& a, float s);
-Var add_scalar(const Var& a, float s);
 Var silu(const Var& x);                     ///< x * sigmoid(x)
 Var relu(const Var& x);
-Var sigmoid(const Var& x);
-Var tanh_op(const Var& x);
 
 // --- Shape / structure -------------------------------------------------------
 /// Concatenates two NCHW tensors along the channel axis.
@@ -47,7 +43,6 @@ Var softmax_lastdim(const Var& x);
 
 // --- Resampling --------------------------------------------------------------
 Var upsample_nearest2(const Var& x);  ///< {N,C,H,W} -> {N,C,2H,2W}
-Var avg_pool2(const Var& x);          ///< {N,C,H,W} -> {N,C,H/2,W/2}
 
 // --- Normalization -----------------------------------------------------------
 /// GroupNorm over {N,C,H,W}: per (sample, group) standardization followed by
@@ -57,10 +52,6 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta, int groups,
 
 // --- Losses (scalar outputs) -------------------------------------------------
 Var mse_loss(const Var& pred, const Var& target);  ///< mean squared error
-/// MSE restricted to mask==1 positions (mean over masked count; mask is a
-/// plain tensor, not differentiated). Mask must be broadcastable per-pixel:
-/// same shape as pred or {N,1,H,W} vs pred {N,C,H,W}.
-Var masked_mse_loss(const Var& pred, const Var& target, const Tensor& mask);
 /// Numerically-stable binary cross-entropy on logits (mean reduction).
 Var bce_with_logits(const Var& logits, const Var& target);
 Var mean(const Var& x);

@@ -44,7 +44,6 @@ struct KernelTable {
 
   // --- Value-pure elementwise kernels ---
   void (*silu)(const float* x, float* y, std::size_t n);     ///< y = x·σ(x)
-  void (*sigmoid)(const float* x, float* y, std::size_t n);  ///< y = σ(x)
   void (*relu)(const float* x, float* y, std::size_t n);     ///< y = max(x,0)
   void (*add)(float* a, const float* b, std::size_t n);      ///< a += b
   void (*mul)(const float* a, const float* b, float* o, std::size_t n);

@@ -435,7 +435,6 @@ void GenerationServer::submit(GenRequest req,
       m.accepted.add(1);
       completed_.fetch_add(1);
       m.completed.add(1);
-      cache_hits_.fetch_add(1);
       m.cache_hits.add(1);
       m.e2e_ms.observe(hit.e2e_ms);
       if (reqlog_.enabled())
@@ -445,7 +444,6 @@ void GenerationServer::submit(GenRequest req,
       if (done) done(std::move(hit));
       return;
     }
-    cache_misses_.fetch_add(1);
     m.cache_misses.add(1);
   }
 

@@ -222,7 +222,7 @@ class GenerationServer {
   // section).
   std::atomic<std::uint64_t> accepted_{0}, rejected_{0}, timeouts_{0},
       cancelled_{0}, completed_{0}, batches_{0}, batched_samples_{0},
-      joins_{0}, leaves_{0}, repacks_{0}, cache_hits_{0}, cache_misses_{0};
+      joins_{0}, leaves_{0}, repacks_{0};
 
   // Live telemetry plane: rolling windows baseline at THIS instance's
   // construction (the underlying serve.* metrics are process-global), the

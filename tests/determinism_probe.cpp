@@ -9,7 +9,9 @@
 // the serving layer's micro-batching is held to the same bar: batched
 // output must be a pure function of each request's seed, bitwise invariant
 // across thread counts. Further rounds cover continuous batching with
-// mixed sampler schedules and the reduced-precision tiers (int8/bf16).
+// mixed sampler schedules and the reduced-precision tiers (int8/bf16), and
+// a last round trains: its loss bits and parameter hash pin the autograd
+// ops and UNet::forward, and so the bytes of a saved checkpoint.
 //
 // `determinism_probe --isa-usable <name>` is a host-capability probe for
 // the ctest wrapper: exit 0 when this binary can dispatch <name> here,
@@ -21,7 +23,10 @@
 
 #include "core/config.hpp"
 #include "core/patternpaint.hpp"
+#include "diffusion/convert.hpp"
+#include "diffusion/ddpm.hpp"
 #include "expand/expander.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/simd.hpp"
 #include "patterngen/track_generator.hpp"
 #include "serve/registry.hpp"
@@ -175,5 +180,37 @@ int main(int argc, char** argv) {
       std::printf("%016" PRIx64 "\n", p.hash());
   }
   server.shutdown();
+
+  // Training round: train_step and finetune_step (with the prior term) on
+  // the tiny UNet, attention off then on. Prints each loss's bits and an
+  // FNV-1a hash over parameters() in order, which is the checkpoint payload.
+  nn::Tensor x0 = rasters_to_tensor(starters);
+  nn::Tensor prior = rasters_to_tensor({starters[1], starters[0]});
+  nn::Tensor full = nn::Tensor::full(x0.shape(), 1.0f);
+  nn::Tensor box(x0.shape());
+  for (int n = 0; n < x0.dim(0); ++n)
+    for (int h = 8; h < 24; ++h)
+      for (int w = 8; w < 24; ++w) box.at4(n, 0, h, w) = 1.0f;
+  for (bool attention : {false, true}) {
+    DdpmConfig dc = cfg.ddpm;
+    dc.unet.attention = attention;
+    Rng rng(31337);
+    Ddpm model(dc, rng);
+    nn::Adam opt(model.parameters(), cfg.pretrain_lr);
+    std::printf("train attention %d", attention);
+    for (int i = 0; i < 3; ++i)
+      std::printf(" %a", model.train_step(x0, box, opt, rng));
+    for (int i = 0; i < 3; ++i)
+      std::printf(" %a", model.finetune_step(x0, box, prior, full,
+                                             cfg.lambda_prior, opt, rng));
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const nn::Var& p : model.parameters()) {
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(p->value.data());
+      for (std::size_t i = 0; i < p->value.numel() * sizeof(float); ++i)
+        hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+    }
+    std::printf(" params %016" PRIx64 "\n", hash);
+  }
   return 0;
 }

@@ -690,6 +690,16 @@ TEST(Serve, ConfigValidation) {
   spec.clip_size = 3;  // not a multiple of 4
   ModelRegistry registry;
   EXPECT_THROW(registry.load(spec), ConfigError);
+  // time_dim 2 makes the sinusoid frequencies NaN; an odd one cannot split
+  // into sin/cos halves.
+  for (int time_dim : {2, 3}) {
+    cfg = sd1_config();
+    cfg.ddpm.unet.time_dim = time_dim;
+    EXPECT_THROW(cfg.validate(), ConfigError) << "time_dim " << time_dim;
+    spec = tiny_spec();
+    spec.time_dim = time_dim;
+    EXPECT_THROW(registry.load(spec), ConfigError) << "time_dim " << time_dim;
+  }
 }
 
 // Satellite: the stats dump is written atomically (no .tmp left behind,
