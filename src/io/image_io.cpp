@@ -1,5 +1,6 @@
 #include "io/image_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -43,27 +44,42 @@ Raster read_pgm(const std::string& path) {
       return tok;
     }
   };
-  int w = std::stoi(next_token());
-  int h = std::stoi(next_token());
-  int maxv = std::stoi(next_token());
+  // Header integers are outside input: a non-numeric or out-of-range
+  // token is a pp::Error like any other malformed file.
+  auto next_int = [&next_token, &path]() {
+    const std::string tok = next_token();
+    int v = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    PP_REQUIRE_MSG(ec == std::errc() && end == tok.data() + tok.size(),
+                   "bad PGM header value '" + tok + "': " + path);
+    return v;
+  };
+  const int w = next_int();
+  const int h = next_int();
+  const int maxv = next_int();
   PP_REQUIRE_MSG(w > 0 && h > 0 && maxv > 0 && maxv < 65536,
                  "bad PGM dimensions: " + path);
   Raster r(w, h);
   if (magic == "P5") {
     in.get();  // single whitespace after maxval
-    std::vector<unsigned char> buf(static_cast<std::size_t>(w) * h);
+    // Samples are one byte, or two big-endian bytes when maxval > 255.
+    const std::size_t bytes = maxv > 255 ? 2 : 1;
+    std::vector<unsigned char> buf(r.data().size() * bytes);
     in.read(reinterpret_cast<char*>(buf.data()),
             static_cast<std::streamsize>(buf.size()));
     PP_REQUIRE_MSG(in.gcount() == static_cast<std::streamsize>(buf.size()),
                    "truncated PGM data: " + path);
-    for (std::size_t i = 0; i < buf.size(); ++i)
-      r.data()[i] = buf[i] * 255 / maxv >= 128 ? 1 : 0;
+    for (std::size_t i = 0; i < r.data().size(); ++i) {
+      const int v = bytes == 2 ? buf[2 * i] << 8 | buf[2 * i + 1] : buf[i];
+      r.data()[i] = v * 255 / maxv >= 128 ? 1 : 0;
+    }
   } else {
-    for (int i = 0; i < w * h; ++i) {
-      int v;
+    for (std::size_t i = 0; i < r.data().size(); ++i) {
+      int v = 0;
       in >> v;
-      PP_REQUIRE_MSG(in.good() || in.eof(), "truncated PGM data: " + path);
-      r.data()[static_cast<std::size_t>(i)] = v * 255 / maxv >= 128 ? 1 : 0;
+      PP_REQUIRE_MSG(!in.fail(), "truncated PGM data: " + path);
+      PP_REQUIRE_MSG(v >= 0 && v <= maxv, "PGM sample out of range: " + path);
+      r.data()[i] = v * 255 / maxv >= 128 ? 1 : 0;
     }
   }
   return r;

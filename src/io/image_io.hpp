@@ -12,7 +12,9 @@ namespace pp {
 /// visibility. Throws pp::Error on I/O failure.
 void write_pgm(const Raster& r, const std::string& path, int scale = 1);
 
-/// Reads a P5/P2 PGM and thresholds at 128 into a binary raster.
+/// Reads a P5/P2 PGM (P5 samples are 16-bit big-endian when maxval > 255)
+/// and thresholds at 128 into a binary raster. Throws pp::Error on a
+/// malformed header, a truncated body or a sample above maxval.
 Raster read_pgm(const std::string& path);
 
 }  // namespace pp

@@ -1,5 +1,7 @@
 #include "nn/gemm.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -189,56 +191,58 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
 void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
             int pad, int ho, int wo, float* col) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t block = static_cast<std::size_t>(ho) * wo;
   float* dst = col;
-  if (pad == 0) {
-    // Every receptive field stays inside the image: no boundary scans and
-    // no zero-fill, each output row is a (possibly strided) gather.
-    for (int c = 0; c < ci; ++c) {
-      const float* xp = x + static_cast<std::size_t>(c) * plane;
-      for (int ky = 0; ky < kh; ++ky) {
-        for (int kx = 0; kx < kw; ++kx) {
-          for (int oh = 0; oh < ho; ++oh, dst += wo) {
-            const float* src =
-                xp + static_cast<std::size_t>(oh * stride + ky) * w + kx;
-            if (stride == 1) {
-              std::memcpy(dst, src, sizeof(float) * static_cast<std::size_t>(wo));
-            } else {
-              for (int ow = 0; ow < wo; ++ow) dst[ow] = src[ow * stride];
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
   for (int c = 0; c < ci; ++c) {
     const float* xp = x + static_cast<std::size_t>(c) * plane;
     for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        for (int oh = 0; oh < ho; ++oh, dst += wo) {
-          const int ih = oh * stride + ky - pad;
-          if (ih < 0 || ih >= h) {
-            std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(wo));
-            continue;
+      // Output rows with ih = oh*stride + ky - pad inside [0, h).
+      int oh_lo = 0;
+      while (oh_lo < ho && oh_lo * stride + ky - pad < 0) ++oh_lo;
+      int oh_hi = ho;
+      while (oh_hi > oh_lo && (oh_hi - 1) * stride + ky - pad >= h) --oh_hi;
+      for (int kx = 0; kx < kw; ++kx, dst += block) {
+        // Output columns with iw = ow*stride + kx - pad inside [0, w).
+        int ow_lo = 0;
+        while (ow_lo < wo && ow_lo * stride + kx - pad < 0) ++ow_lo;
+        int ow_hi = wo;
+        while (ow_hi > ow_lo && (ow_hi - 1) * stride + kx - pad >= w) --ow_hi;
+        if (oh_lo == oh_hi || ow_lo == ow_hi) {
+          std::memset(dst, 0, sizeof(float) * block);
+          continue;
+        }
+        std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(oh_lo) * wo);
+        std::memset(dst + static_cast<std::size_t>(oh_hi) * wo, 0,
+                    sizeof(float) * static_cast<std::size_t>(ho - oh_hi) * wo);
+        if (stride == 1 && wo == w) {
+          // The block is the plane shifted by s: one flat copy over the
+          // valid rows, clipped to stay inside this channel's plane. The
+          // shift wraps neighbouring-row pixels into the (at most pad)
+          // border columns, which the row loop below overwrites with zeros.
+          const std::ptrdiff_t s =
+              static_cast<std::ptrdiff_t>(ky - pad) * w + (kx - pad);
+          const std::ptrdiff_t lo =
+              std::max<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(oh_lo) * w, -s);
+          const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
+              static_cast<std::ptrdiff_t>(oh_hi) * w,
+              static_cast<std::ptrdiff_t>(plane) - s);
+          std::memcpy(dst + lo, xp + lo + s,
+                      sizeof(float) * static_cast<std::size_t>(hi - lo));
+          for (int oh = oh_lo; oh < oh_hi; ++oh) {
+            float* row = dst + static_cast<std::size_t>(oh) * wo;
+            for (int ow = 0; ow < ow_lo; ++ow) row[ow] = 0.0f;
+            for (int ow = ow_hi; ow < wo; ++ow) row[ow] = 0.0f;
           }
-          // Output-column range with iw = ow*stride + kx - pad inside [0, w).
-          int ow_lo = 0;
-          while (ow_lo < wo && ow_lo * stride + kx - pad < 0) ++ow_lo;
-          int ow_hi = wo;
-          while (ow_hi > ow_lo && (ow_hi - 1) * stride + kx - pad >= w) --ow_hi;
-          if (ow_lo > 0)
-            std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(ow_lo));
-          if (ow_hi < wo)
-            std::memset(dst + ow_hi, 0,
-                        sizeof(float) * static_cast<std::size_t>(wo - ow_hi));
-          const float* src = xp + static_cast<std::size_t>(ih) * w;
-          if (stride == 1) {
-            std::memcpy(dst + ow_lo, src + ow_lo + kx - pad,
-                        sizeof(float) * static_cast<std::size_t>(ow_hi - ow_lo));
-          } else {
-            for (int ow = ow_lo; ow < ow_hi; ++ow)
-              dst[ow] = src[ow * stride + kx - pad];
-          }
+          continue;
+        }
+        for (int oh = oh_lo; oh < oh_hi; ++oh) {
+          float* row = dst + static_cast<std::size_t>(oh) * wo;
+          const float* src =
+              xp + static_cast<std::size_t>(oh * stride + ky - pad) * w;
+          for (int ow = 0; ow < ow_lo; ++ow) row[ow] = 0.0f;
+          for (int ow = ow_lo; ow < ow_hi; ++ow)
+            row[ow] = src[ow * stride + kx - pad];
+          for (int ow = ow_hi; ow < wo; ++ow) row[ow] = 0.0f;
         }
       }
     }
@@ -247,22 +251,29 @@ void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
 
 void col2im_add(const float* col, int ci, int h, int w, int kh, int kw,
                 int stride, int pad, int ho, int wo, float* x) {
+  // Same (c, ky, kx, oh, ow) order as im2col, so every pixel of x receives
+  // its contributions in a fixed order. No flat shift here: it would add
+  // the wrapped border columns into the wrong pixel.
   const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t block = static_cast<std::size_t>(ho) * wo;
   const float* src = col;
   for (int c = 0; c < ci; ++c) {
     float* xp = x + static_cast<std::size_t>(c) * plane;
     for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        for (int oh = 0; oh < ho; ++oh, src += wo) {
-          const int ih = oh * stride + ky - pad;
-          if (ih < 0 || ih >= h) continue;
-          int ow_lo = 0;
-          while (ow_lo < wo && ow_lo * stride + kx - pad < 0) ++ow_lo;
-          int ow_hi = wo;
-          while (ow_hi > ow_lo && (ow_hi - 1) * stride + kx - pad >= w) --ow_hi;
-          float* dstrow = xp + static_cast<std::size_t>(ih) * w + kx - pad;
+      int oh_lo = 0;
+      while (oh_lo < ho && oh_lo * stride + ky - pad < 0) ++oh_lo;
+      int oh_hi = ho;
+      while (oh_hi > oh_lo && (oh_hi - 1) * stride + ky - pad >= h) --oh_hi;
+      for (int kx = 0; kx < kw; ++kx, src += block) {
+        int ow_lo = 0;
+        while (ow_lo < wo && ow_lo * stride + kx - pad < 0) ++ow_lo;
+        int ow_hi = wo;
+        while (ow_hi > ow_lo && (ow_hi - 1) * stride + kx - pad >= w) --ow_hi;
+        for (int oh = oh_lo; oh < oh_hi; ++oh) {
+          const float* crow = src + static_cast<std::size_t>(oh) * wo;
+          float* xrow = xp + static_cast<std::size_t>(oh * stride + ky - pad) * w;
           for (int ow = ow_lo; ow < ow_hi; ++ow)
-            dstrow[ow * stride] += src[ow];
+            xrow[ow * stride + kx - pad] += crow[ow];
         }
       }
     }

@@ -104,16 +104,13 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
                  const GemmEpilogue* epilogue,
                  I8Layout b_layout = I8Layout::kNT);
 
-/// Number of rows of the im2col matrix: Ci*Kh*Kw.
-inline std::size_t im2col_rows(int ci, int kh, int kw) {
-  return static_cast<std::size_t>(ci) * kh * kw;
-}
-
 /// Unrolls one sample's {Ci,H,W} plane into col{Ci*Kh*Kw, Ho*Wo}:
 /// col[(ci*Kh+kh)*Kw+kw][oh*Wo+ow] = x[ci][oh*stride+kh-pad][ow*stride+kw-pad]
-/// with zeros where the receptive field leaves the image. pad==0 takes a
-/// fast path with no boundary scans or zero-fills; stride==1 rows are
-/// straight memcpy.
+/// with zeros where the receptive field leaves the image. Works one
+/// (channel, kh, kw) block at a time with the valid row and column ranges
+/// computed once per tap; at stride 1 with Wo == W (every 3x3 pad-1 conv)
+/// a block is the plane shifted by (kh-pad)*W + (kw-pad), so it is one
+/// flat memcpy plus zeroing of the at most `pad` border columns per row.
 void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
             int pad, int ho, int wo, float* col);
 

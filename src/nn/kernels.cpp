@@ -36,9 +36,12 @@ ConvDims conv_dims(const Tensor& x, const Tensor& w, const Tensor& b,
   d.Kw = w.dim(3);
   PP_REQUIRE_MSG(w.dim(1) == d.Ci, "conv2d: in-channel mismatch");
   PP_REQUIRE_MSG(b.dim(0) == d.Co, "conv2d: bias size mismatch");
+  // Checked before dividing: the division truncates toward zero, so a
+  // kernel larger than the padded input would otherwise yield Ho = 1.
+  PP_REQUIRE_MSG(d.H + 2 * pad >= d.Kh && d.W + 2 * pad >= d.Kw,
+                 "conv2d: output collapses to zero size");
   d.Ho = (d.H + 2 * pad - d.Kh) / stride + 1;
   d.Wo = (d.W + 2 * pad - d.Kw) / stride + 1;
-  PP_REQUIRE_MSG(d.Ho > 0 && d.Wo > 0, "conv2d: output collapses to zero size");
   return d;
 }
 

@@ -12,9 +12,13 @@
 //   * kDirect — the original nested-loop convolution, cheapest for tiny
 //     problems where im2col overhead dominates;
 //   * kGemm — im2col packing into the thread-local Workspace followed by a
-//     blocked SGEMM (see gemm.hpp); 1x1/stride-1/pad-0 convs skip the
-//     packing entirely and GEMM straight over the input plane.
-// kAuto picks via conv2d_use_gemm (see DESIGN.md for the heuristic).
+//     blocked SGEMM (see gemm.hpp); im2col writes one (channel, tap) block
+//     at a time, a single shifted copy of the plane for stride-1 convs
+//     whose output is as wide as the input. 1x1/stride-1/pad-0 convs skip
+//     the packing entirely and GEMM straight over the input plane.
+// kAuto picks via conv2d_use_gemm (see DESIGN.md for the heuristic; its
+// thresholds predate the block-copy im2col and are kept so no conv's
+// output bits move).
 #pragma once
 
 #include <functional>

@@ -84,6 +84,37 @@ TEST_F(ImageIo, RejectsTruncatedData) {
   EXPECT_THROW(read_pgm(path("trunc.pgm")), Error);
 }
 
+TEST_F(ImageIo, RejectsTruncatedOrOutOfRangeAsciiData) {
+  // One value where a 2x2 P2 needs four; a value past maxval is rejected too.
+  for (const char* body : {"P2\n2 2\n255\n255\n", "P2\n1 1\n255\n256\n",
+                           "P2\n1 1\n255\n2147483647\n"}) {
+    std::ofstream f(path("trunc.pgm"));
+    f << body;
+    f.close();
+    EXPECT_THROW(read_pgm(path("trunc.pgm")), Error) << body;
+  }
+}
+
+TEST_F(ImageIo, Reads16BitBinarySamplesBigEndian) {
+  // maxval > 255: two bytes per sample, most significant first.
+  std::ofstream f(path("p16.pgm"), std::ios::binary);
+  f << "P5\n3 1\n65535\n";
+  f.write("\xff\xff\x00\x00\x00\xff", 6);
+  f.close();
+  EXPECT_EQ(read_pgm(path("p16.pgm")).to_ascii(), "#..\n");
+}
+
+TEST_F(ImageIo, RejectsMalformedHeaderNumbers) {
+  for (const char* header : {"P2\nx 1\n255\n0\n", "P2\n1 1x\n255\n0\n",
+                             "P2\n99999999999 1\n255\n0\n",
+                             "P2\n1 1\n-5\n0\n"}) {
+    std::ofstream f(path("hdr.pgm"));
+    f << header;
+    f.close();
+    EXPECT_THROW(read_pgm(path("hdr.pgm")), Error) << header;
+  }
+}
+
 TEST_F(Csv, WritesRowsWithEscaping) {
   {
     CsvWriter w(path("t.csv"));

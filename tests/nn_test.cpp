@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -173,6 +174,27 @@ TEST(Conv2d, RejectsMismatchedShapes) {
   Var w = make_param(Tensor({3, 3, 3, 3}));  // expects Ci=3, x has 2
   Var b = make_param(Tensor({3}));
   EXPECT_THROW(conv2d(x, w, b), Error);
+}
+
+TEST(Conv2d, RejectsKernelLargerThanPaddedInput) {
+  // (H + 2*pad - K) / stride truncates toward zero: at stride > 1 a kernel
+  // that does not fit would yield a 1x1 output unless checked first.
+  for (int stride : {1, 2, 3}) {
+    Tensor x = Tensor::full({1, 1, 2, 2}, 1.0f);
+    Tensor w = Tensor::full({1, 1, 3, 3}, 1.0f);
+    EXPECT_THROW(conv2d_forward(x, w, Tensor({1}), stride, 0), Error)
+        << "stride " << stride;
+    // Only one axis too small: 3 wide, 2 high.
+    Tensor xw = Tensor::full({1, 1, 2, 3}, 1.0f);
+    EXPECT_THROW(conv2d_forward(xw, w, Tensor({1}), stride, 0), Error)
+        << "stride " << stride;
+  }
+  Tensor x = Tensor::full({1, 1, 3, 3}, 1.0f);
+  Tensor w = Tensor::full({1, 1, 5, 5}, 1.0f);
+  EXPECT_THROW(conv2d_forward(x, w, Tensor({1}), 3, 0), Error);
+  // Padding that makes the kernel fit is accepted: 3 + 2*1 >= 5.
+  EXPECT_EQ(conv2d_forward(x, w, Tensor({1}), 3, 1).shape(),
+            (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(GradCheck, GroupNorm) {
@@ -623,6 +645,77 @@ TEST(Gemm, MatchesNaiveReference) {
         EXPECT_NEAR(C[i], ref[i], 1e-4f * K) << "tn " << M << "x" << N;
     }
   }
+}
+
+/// Every conv shape of the im2col / col2im_add sweeps: one sample with
+/// square kernels, kept when the kernel fits the padded input.
+template <typename Fn>
+void for_each_im2col_shape(Fn&& fn) {
+  for (int ci : {1, 3})
+    for (int h : {1, 2, 3, 5, 8, 9})
+      for (int w : {1, 2, 4, 7, 16})
+        for (int k : {1, 2, 3, 5})
+          for (int stride : {1, 2, 3})
+            for (int pad : {0, 1, 2, 3}) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              fn(ci, h, w, k, stride, pad, (h + 2 * pad - k) / stride + 1,
+                 (w + 2 * pad - k) / stride + 1);
+            }
+}
+
+TEST(Gemm, Im2colMatchesDefinitionBitwise) {
+  Rng rng(97);
+  int cases = 0;
+  for_each_im2col_shape([&](int ci, int h, int w, int k, int stride, int pad,
+                            int ho, int wo) {
+    ++cases;
+    Tensor x = Tensor::randn({ci, h, w}, rng);
+    const std::size_t n = static_cast<std::size_t>(ci) * k * k * ho * wo;
+    // NaN fill: an element im2col fails to write cannot compare equal.
+    std::vector<float> col(n, std::nanf("")), ref(n, 0.0f);
+    for (int c = 0; c < ci; ++c)
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx)
+          for (int oh = 0; oh < ho; ++oh)
+            for (int ow = 0; ow < wo; ++ow) {
+              const int ih = oh * stride + ky - pad, iw = ow * stride + kx - pad;
+              if (ih < 0 || ih >= h || iw < 0 || iw >= w) continue;
+              ref[((static_cast<std::size_t>(c) * k + ky) * k + kx) * ho * wo +
+                  static_cast<std::size_t>(oh) * wo + ow] =
+                  x[(static_cast<std::size_t>(c) * h + ih) * w + iw];
+            }
+    im2col(x.data(), ci, h, w, k, k, stride, pad, ho, wo, col.data());
+    EXPECT_EQ(std::memcmp(col.data(), ref.data(), n * sizeof(float)), 0)
+        << "ci=" << ci << " h=" << h << " w=" << w << " k=" << k
+        << " s=" << stride << " p=" << pad;
+  });
+  EXPECT_EQ(cases, 2460);
+}
+
+TEST(Gemm, Col2imAddMatchesDefinitionBitwise) {
+  Rng rng(101);
+  for_each_im2col_shape([&](int ci, int h, int w, int k, int stride, int pad,
+                            int ho, int wo) {
+    const std::size_t n = static_cast<std::size_t>(ci) * k * k * ho * wo;
+    Tensor col = Tensor::randn({static_cast<int>(n)}, rng);
+    Tensor x = Tensor::randn({ci, h, w}, rng);
+    Tensor ref = x;
+    // Naive scatter-add in (c, ky, kx, oh, ow) order into a non-zero x.
+    const float* cp = col.data();
+    for (int c = 0; c < ci; ++c)
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx)
+          for (int oh = 0; oh < ho; ++oh)
+            for (int ow = 0; ow < wo; ++ow, ++cp) {
+              const int ih = oh * stride + ky - pad, iw = ow * stride + kx - pad;
+              if (ih < 0 || ih >= h || iw < 0 || iw >= w) continue;
+              ref[(static_cast<std::size_t>(c) * h + ih) * w + iw] += *cp;
+            }
+    col2im_add(col.data(), ci, h, w, k, k, stride, pad, ho, wo, x.data());
+    EXPECT_EQ(std::memcmp(x.data(), ref.data(), x.numel() * sizeof(float)), 0)
+        << "ci=" << ci << " h=" << h << " w=" << w << " k=" << k
+        << " s=" << stride << " p=" << pad;
+  });
 }
 
 TEST(Gemm, Im2colRoundTripsThroughCol2im) {
