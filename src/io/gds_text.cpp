@@ -1,5 +1,6 @@
 #include "io/gds_text.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -7,6 +8,22 @@
 #include "geometry/polygon.hpp"
 
 namespace pp {
+
+namespace {
+
+/// name[lo, hi) as a positive int. The structure name is outside input, so
+/// a non-numeric or out-of-range dimension is a pp::Error.
+int parse_dim(const std::string& name, std::size_t lo, std::size_t hi) {
+  int v = 0;
+  const char* first = name.data() + lo;
+  const char* last = name.data() + hi;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  PP_REQUIRE_MSG(ec == std::errc() && end == last && v > 0,
+                 "bad GDS clip dimensions in " + name);
+  return v;
+}
+
+}  // namespace
 
 void fill_polygon(Raster& canvas, const std::vector<Point>& vertices) {
   PP_REQUIRE_MSG(vertices.size() >= 4, "polygon needs at least 4 vertices");
@@ -86,10 +103,8 @@ std::vector<Raster> read_gds_text(const std::string& path) {
       PP_REQUIRE_MSG(wpos != std::string::npos && hpos != std::string::npos &&
                          hpos > wpos,
                      "GDS structure name lacks _w/_h dimensions: " + name);
-      int w = std::stoi(name.substr(wpos + 2, hpos - wpos - 2));
-      int h = std::stoi(name.substr(hpos + 2));
-      PP_REQUIRE_MSG(w > 0 && h > 0, "bad GDS clip dimensions in " + name);
-      current = Raster(w, h);
+      current = Raster(parse_dim(name, wpos + 2, hpos),
+                       parse_dim(name, hpos + 2, name.size()));
       in_struct = true;
     } else if (kw == "XY") {
       PP_REQUIRE_MSG(in_struct, "XY outside a structure in " + path);

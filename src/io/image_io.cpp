@@ -1,12 +1,28 @@
 #include "io/image_io.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 
 namespace pp {
+
+namespace {
+
+/// Bytes between the read position and the end of the file (0 when the
+/// stream cannot seek, so an unbounded header is rejected, not trusted).
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here || !in.good()) return 0;
+  return static_cast<std::uint64_t>(end - here);
+}
+
+}  // namespace
 
 void write_pgm(const Raster& r, const std::string& path, int scale) {
   PP_REQUIRE(scale >= 1);
@@ -59,11 +75,23 @@ Raster read_pgm(const std::string& path) {
   const int maxv = next_int();
   PP_REQUIRE_MSG(w > 0 && h > 0 && maxv > 0 && maxv < 65536,
                  "bad PGM dimensions: " + path);
+  // P5 samples are one byte, or two big-endian bytes when maxval > 255.
+  const std::size_t bytes = maxv > 255 ? 2 : 1;
+  // Bound the header by the file before allocating width x height: P5
+  // needs one separator byte plus `bytes` per sample, P2 at least a digit
+  // and a separator per sample.
+  const std::uint64_t samples =
+      static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h);
+  const std::uint64_t need =
+      magic == "P5" ? 1 + samples * bytes : 2 * samples;
+  const std::uint64_t left = bytes_left(in);
+  PP_REQUIRE_MSG(need <= left, "PGM header claims " + std::to_string(w) +
+                                   "x" + std::to_string(h) + " samples but " +
+                                   std::to_string(left) +
+                                   " bytes follow: " + path);
   Raster r(w, h);
   if (magic == "P5") {
     in.get();  // single whitespace after maxval
-    // Samples are one byte, or two big-endian bytes when maxval > 255.
-    const std::size_t bytes = maxv > 255 ? 2 : 1;
     std::vector<unsigned char> buf(r.data().size() * bytes);
     in.read(reinterpret_cast<char*>(buf.data()),
             static_cast<std::streamsize>(buf.size()));

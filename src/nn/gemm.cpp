@@ -101,6 +101,18 @@ void sgemm_tn(int M, int N, int K, const float* A, int lda, const float* B,
   });
 }
 
+void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
+                 const float* x, float* C, const GemmEpilogue* epilogue) {
+  const detail::KernelTable& kt = detail::active_kernels();
+  PP_REQUIRE_MSG(kt.conv3x3_s1, "sconv3x3_s1: no kernel on this ISA");
+  if (epilogue) note_fused_epilogue();
+  const int P = H * W;
+  rows_parallel(Co, [&](std::size_t lo, std::size_t hi) {
+    kt.conv3x3_s1(lo, hi, Ci, H, W, A, x, C);
+    if (epilogue) apply_epilogue_rows(kt, *epilogue, lo, hi, P, C, P);
+  });
+}
+
 void pack_i8_b(const std::int16_t* B, int N, int K, I8Layout layout, int ldb,
                std::int16_t* out) {
   PP_REQUIRE_MSG(layout != I8Layout::kPacked,

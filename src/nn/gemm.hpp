@@ -1,6 +1,7 @@
 // Single-precision and quantized GEMM with runtime-dispatched microkernels
-// (scalar, AVX2+FMA or AVX-512, see nn/simd.hpp) plus the im2col/col2im
-// packing that turns convolutions into GEMM calls.
+// (scalar, AVX2+FMA or AVX-512, see nn/simd.hpp), the im2col/col2im
+// packing that turns convolutions into GEMM calls, and the im2col-free
+// 3x3 convolution the AVX-512 tier runs instead of that packing.
 //
 // All matrices are row-major with explicit leading dimensions (row
 // strides). Rows of C are split across pp::parallel_for_chunks (disjoint
@@ -63,6 +64,15 @@ void sgemm_nt(int M, int N, int K, const float* A, int lda, const float* B,
 void sgemm_tn(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, bool accumulate,
               const GemmEpilogue* epilogue = nullptr);
+
+/// C{Co, H·W} = A{Co, Ci·9} · im2col(x) for a stride-1, pad-1 3x3 conv of
+/// one sample's {Ci,H,W} plane x, computed without the im2col matrix.
+/// Bitwise equal to im2col + sgemm_nn with the same epilogue on the same
+/// ISA. Only the AVX-512 kernel table has this kernel (its conv3x3_s1
+/// entry is null elsewhere, and the call is a pp::Error); overwrites C.
+void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
+                 const float* x, float* C,
+                 const GemmEpilogue* epilogue = nullptr);
 
 /// Storage order of the B operand handed to sgemm_i8_nt. kNT is B{N,K}
 /// row-major (weights as the registry stores them); kKN is B{K,N}

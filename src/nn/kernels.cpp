@@ -226,6 +226,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       int stride, int pad, ConvAlgo algo, Act act) {
   static obs::Counter& gemm_dispatches =
       obs::metrics().counter("nn.conv2d.dispatch.gemm");
+  static obs::Counter& implicit_dispatches =
+      obs::metrics().counter("nn.conv2d.dispatch.implicit");
   static obs::Counter& direct_dispatches =
       obs::metrics().counter("nn.conv2d.dispatch.direct");
   const ConvDims d = conv_dims(x, w, b, stride, pad);
@@ -238,23 +240,31 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
     detail::apply_act(detail::active_kernels(), act, out.data(), out.numel());
     return out;
   }
-  PP_TRACE_SPAN("nn.conv2d.gemm");
-  gemm_dispatches.add(1);
+  const Precision prec = active_precision();
+  auto qw = quant_lookup(w.data(), prec);
+  const bool int8 = qw && prec == Precision::kInt8;
+  // fp32 and bf16 stride-1 3x3 convs skip im2col where the ISA has the
+  // kernel (AVX-512): the same GEMM with B read straight from the plane,
+  // so the same bits and no col buffer. int8 quantizes the col panel, so
+  // it keeps im2col.
+  const bool implicit = !int8 && d.Kh == 3 && d.Kw == 3 && stride == 1 &&
+                        pad == 1 && detail::active_kernels().conv3x3_s1;
+  PP_TRACE_SPAN(implicit ? "nn.conv2d.implicit" : "nn.conv2d.gemm");
+  (implicit ? implicit_dispatches : gemm_dispatches).add(1);
   const int K2 = d.Ci * d.Kh * d.Kw;
   const int P = d.Ho * d.Wo;
   const bool pointwise = is_pointwise(d, stride, pad);
   Workspace& ws = Workspace::tls();
   WorkspaceScope scope(ws);
-  float* col = pointwise ? nullptr
-                         : ws.alloc(static_cast<std::size_t>(K2) * P);
+  float* col = pointwise || implicit
+                   ? nullptr
+                   : ws.alloc(static_cast<std::size_t>(K2) * P);
   // Bias (one value per output-channel row) and activation run as a fused
   // epilogue on each row chunk right after the GEMM writes it.
   GemmEpilogue epi;
   epi.bias = b.data();
   epi.act = act;
-  const Precision prec = active_precision();
-  auto qw = quant_lookup(w.data(), prec);
-  if (qw && prec == Precision::kInt8) {
+  if (int8) {
     // C{Co,P} = Wq{Co,K2} · Colq{K2,P} over int8-range int16 lanes:
     // weights were quantized per output channel at load time, activations
     // are quantized per tensor here with a dynamic scale. The quantized
@@ -294,12 +304,16 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   }
   for (int n = 0; n < d.N; ++n) {
     const float* xn = x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
+    float* on = out.data() + static_cast<std::size_t>(n) * d.Co * P;
+    if (implicit) {
+      sconv3x3_s1(d.Co, d.Ci, d.H, d.W, wp, xn, on, &epi);
+      continue;
+    }
     const float* colp = xn;
     if (!pointwise) {
       im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
       colp = col;
     }
-    float* on = out.data() + static_cast<std::size_t>(n) * d.Co * P;
     sgemm_nn(d.Co, P, K2, wp, K2, colp, P, on, P, /*accumulate=*/false,
              &epi);
   }

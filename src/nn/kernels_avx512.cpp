@@ -7,12 +7,15 @@
 // Structure mirrors kernels_avx2.cpp at twice the lane width: 16-lane
 // __m512 vectors, 32-column C stripes (NV=2), and __mmask16 masked
 // loads/stores for every ragged tail — AVX-512 masking replaces the AVX2
-// maskload tables outright.
+// maskload tables outright. The fp32 row tile is 12 rows tall (24 zmm
+// accumulators at NV=2), and only this tier carries conv3x3_s1, the
+// im2col-free 3x3 convolution.
 //
 // Determinism rules this file must uphold (simd_kernels.hpp):
 //   * GEMM blocks: a C row's reduction order is fixed by (j, k) alone;
-//     each row owns its accumulators whether it lands in the 6-row kernel
-//     or a 1..5-row remainder, so thread chunking never changes results.
+//     each row owns its accumulators whether it lands in a 12- or 6-row
+//     tile or a 1..5-row remainder, so thread chunking never changes
+//     results.
 //   * Elementwise kernels are value-pure: tails run the same 16-lane
 //     arithmetic under a mask, never a differently-rounded scalar loop.
 //   * The quantized entries accumulate in exact int32, so they are bitwise
@@ -23,8 +26,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 namespace pp::nn::detail {
 
@@ -69,8 +76,29 @@ inline __m512 exp512(__m512 x) {
 //
 // Same broadcast-A microkernel shape as the AVX2 tier: MR rows x (NV x 16)
 // columns of C accumulate in registers across the full depth loop and are
-// stored once. MR=6, NV=2 uses 12 accumulators + 2 B vectors + 1 broadcast
-// out of 32 zmm registers.
+// stored once. MR=12, NV=2 uses 24 accumulators + 2 B vectors + 1
+// broadcast out of 32 zmm registers, so one pass covers sd1's Co = 12 and
+// two or four passes its 24 and 48.
+
+/// Runs tile(std::integral_constant<int, MR>{}, i) over rows [lo, hi):
+/// 12-row tiles, then at most one 6-row tile, then a 1..5-row remainder.
+template <typename Tile>
+inline void row_tiles(std::size_t lo, std::size_t hi, Tile&& tile) {
+  std::size_t i = lo;
+  for (; i + 12 <= hi; i += 12) tile(std::integral_constant<int, 12>{}, i);
+  if (i + 6 <= hi) {
+    tile(std::integral_constant<int, 6>{}, i);
+    i += 6;
+  }
+  switch (hi - i) {
+    case 5: tile(std::integral_constant<int, 5>{}, i); break;
+    case 4: tile(std::integral_constant<int, 4>{}, i); break;
+    case 3: tile(std::integral_constant<int, 3>{}, i); break;
+    case 2: tile(std::integral_constant<int, 2>{}, i); break;
+    case 1: tile(std::integral_constant<int, 1>{}, i); break;
+    default: break;
+  }
+}
 
 template <int MR, int NV, bool MASKED>
 inline void gemm_tile(const float* A, std::size_t ar, std::size_t ak,
@@ -116,28 +144,10 @@ inline void gemm_col_stripe(std::size_t lo, std::size_t hi, int j0, int K,
                             const float* A, std::size_t ar, std::size_t ak,
                             const float* B, int ldb, float* C, int ldc,
                             bool acc, __mmask16 mask) {
-  std::size_t i = lo;
-  for (; i + 6 <= hi; i += 6)
-    gemm_tile<6, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-  switch (hi - i) {
-    case 5:
-      gemm_tile<5, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-      break;
-    case 4:
-      gemm_tile<4, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-      break;
-    case 3:
-      gemm_tile<3, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-      break;
-    case 2:
-      gemm_tile<2, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-      break;
-    case 1:
-      gemm_tile<1, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C, ldc, acc, mask);
-      break;
-    default:
-      break;
-  }
+  row_tiles(lo, hi, [&](auto mr, std::size_t i) {
+    gemm_tile<decltype(mr)::value, NV, MASKED>(A, ar, ak, i, j0, K, B, ldb, C,
+                                               ldc, acc, mask);
+  });
 }
 
 /// Shared NN/TN driver: column stripes outermost so the K x 32 panel of B
@@ -221,6 +231,120 @@ void gemm_nt_avx512(std::size_t lo, std::size_t hi, int N, int K,
       default: break;
     }
   }
+}
+
+// --- Implicit-GEMM 3x3 convolution ----------------------------------------
+//
+// For a stride-1, pad-1 3x3 conv, im2col row k = (c·3 + ky)·3 + kx is
+// channel c's plane shifted by (ky−1)·W + (kx−1), with +0.0f wherever the
+// source pixel leaves the plane. conv3x3_s1 reads those rows straight from
+// the plane: each 16-lane B vector is one masked unaligned load, and its
+// per-(vector, tap) lane mask clears the lanes whose source pixel lies
+// outside the plane or whose output lies past H·W. A cleared lane is never
+// dereferenced and loads +0.0f, the value im2col writes, and the depth
+// loop runs in weight order, so every output gets the FMA chain gemm_nn
+// runs over its im2col column: the bits are those of im2col + gemm_nn.
+
+/// Lanes l in [0, 16) with lo <= j + l < hi.
+inline unsigned lane_range(int j, int lo, int hi) {
+  const int a = std::clamp(lo - j, 0, 16);
+  const int b = std::clamp(hi - j, 0, 16);
+  return b > a ? ((1u << b) - 1u) & ~((1u << a) - 1u) : 0u;
+}
+
+/// (col + n) mod W for col in [0, W), without a division.
+inline int advance_col(int col, int n, int W) {
+  col += n;
+  while (col >= W) col -= W;
+  return col;
+}
+
+/// The nine tap masks, in weight order, of the 16 outputs at flat
+/// positions j.. of an H x W plane (P = H·W); col = j mod W. Built from
+/// three row ranges (ky = 0 needs a row above, ky = 2 one below) and two
+/// column sets (kx = 0 is dead in column 0, kx = 2 in column W−1).
+inline void tap_masks(int j, int col, int W, int P, __mmask16 m[9]) {
+  const unsigned rows[3] = {lane_range(j, W, P), lane_range(j, 0, P),
+                            lane_range(j, 0, P - W)};
+  unsigned first = 0, last = 0;
+  for (int l = col == 0 ? 0 : W - col; l < 16; l += W) first |= 1u << l;
+  for (int l = W - 1 - col; l < 16; l += W) last |= 1u << l;
+  const unsigned cols[3] = {~first, ~0u, ~last};
+  for (int ky = 0; ky < 3; ++ky)
+    for (int kx = 0; kx < 3; ++kx)
+      m[ky * 3 + kx] = static_cast<__mmask16>(rows[ky] & cols[kx]);
+}
+
+/// One tap T of channel c: xp points at the tile's first output pixel in
+/// that channel, arow[r] at row i0 + r's weights for (c, tap 0).
+template <int T, int MR, int NV>
+inline void conv3x3_tap(__m512 (&acc)[MR][NV], const float* const (&arow)[MR],
+                        const float* xp, std::ptrdiff_t W,
+                        const __mmask16 (&m)[NV][9]) {
+  const float* src = xp + (T / 3 - 1) * W + (T % 3 - 1);
+  __m512 b[NV];
+  for (int v = 0; v < NV; ++v)
+    b[v] = _mm512_maskz_loadu_ps(m[v][T], src + 16 * v);
+  for (int r = 0; r < MR; ++r) {
+    const __m512 a = _mm512_set1_ps(arow[r][T]);
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_fmadd_ps(a, b[v], acc[r][v]);
+  }
+}
+
+template <int MR, int NV, int... T>
+inline void conv3x3_taps(__m512 (&acc)[MR][NV], const float* const (&arow)[MR],
+                         const float* xp, std::ptrdiff_t W,
+                         const __mmask16 (&m)[NV][9],
+                         std::integer_sequence<int, T...>) {
+  (conv3x3_tap<T>(acc, arow, xp, W, m), ...);
+}
+
+template <int MR, int NV>
+inline void conv3x3_tile(const float* A, std::size_t i0, int Ci,
+                         const float* x, std::size_t plane, int W, int j0,
+                         const __mmask16 (&m)[NV][9], float* C) {
+  const std::size_t lda = static_cast<std::size_t>(Ci) * 9;
+  __m512 acc[MR][NV];
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
+  const float* arow[MR];
+  for (int r = 0; r < MR; ++r) arow[r] = A + (i0 + r) * lda;
+  const float* xp = x + j0;
+  for (int c = 0; c < Ci; ++c, xp += plane) {
+    conv3x3_taps(acc, arow, xp, W, m, std::make_integer_sequence<int, 9>{});
+    for (int r = 0; r < MR; ++r) arow[r] += 9;
+  }
+  // The centre tap's mask is exactly the outputs that exist.
+  for (int r = 0; r < MR; ++r) {
+    float* crow = C + (i0 + r) * plane + j0;
+    for (int v = 0; v < NV; ++v)
+      _mm512_mask_storeu_ps(crow + 16 * v, m[v][4], acc[r][v]);
+  }
+}
+
+/// Outputs [j0, j0 + 16·NV) of rows [lo, hi); col = j0 mod W.
+template <int NV>
+inline void conv3x3_stripe(std::size_t lo, std::size_t hi, int Ci, int H,
+                           int W, const float* A, const float* x, float* C,
+                           int j0, int col) {
+  const int P = H * W;
+  __mmask16 m[NV][9];
+  for (int v = 0; v < NV; ++v, col = advance_col(col, 16, W))
+    tap_masks(j0 + 16 * v, col, W, P, m[v]);
+  row_tiles(lo, hi, [&](auto mr, std::size_t i) {
+    conv3x3_tile<decltype(mr)::value, NV>(A, i, Ci, x,
+                                          static_cast<std::size_t>(P), W, j0,
+                                          m, C);
+  });
+}
+
+void conv3x3_s1_avx512(std::size_t lo, std::size_t hi, int Ci, int H, int W,
+                       const float* A, const float* x, float* C) {
+  const int P = H * W;
+  int j = 0, col = 0;
+  for (; j + 16 < P; j += 32, col = advance_col(col, 32, W))
+    conv3x3_stripe<2>(lo, hi, Ci, H, W, A, x, C, j, col);
+  if (j < P) conv3x3_stripe<1>(lo, hi, Ci, H, W, A, x, C, j, col);
 }
 
 // --- Elementwise -----------------------------------------------------------
@@ -659,6 +783,7 @@ const KernelTable* avx512_kernels() {
       add_const_avx512,  axpy_avx512,
       reduce_sum_sumsq_avx512, normalize_affine_avx512,
       gemm_i8_nt_avx512, quantize_s8_avx512, widen_bf16_avx512,
+      conv3x3_s1_avx512,
   };
   return &table;
 }

@@ -85,6 +85,15 @@ struct KernelTable {
   /// Exact widen of bf16 (the high half of an IEEE float) back to float:
   /// out[i] = bitcast<float>(uint32(x[i]) << 16).
   void (*widen_bf16)(const std::uint16_t* x, float* out, std::size_t n);
+
+  // --- im2col-free convolution (null on tiers that keep im2col + GEMM) ---
+  /// Rows [lo, hi) of C{Co, H·W} = A{Co, Ci·9} · im2col(x) for a stride-1,
+  /// pad-1 3x3 conv of one sample's {Ci,H,W} plane x, read straight from
+  /// the plane. Bitwise equal to im2col + gemm_nn of the same table:
+  /// every output runs gemm_nn's k-sequential FMA chain, and a pixel
+  /// outside the plane enters as the +0.0f im2col writes. Overwrites C.
+  void (*conv3x3_s1)(std::size_t lo, std::size_t hi, int Ci, int H, int W,
+                     const float* A, const float* x, float* C);
 };
 
 /// The portable kernel set (always available).

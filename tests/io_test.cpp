@@ -115,6 +115,27 @@ TEST_F(ImageIo, RejectsMalformedHeaderNumbers) {
   }
 }
 
+// The header is checked against the bytes that follow it before the
+// raster is allocated. Without that check a 23-byte
+// "P5 100000 100000 255" file allocated 10 GB, and INT_MAX x INT_MAX
+// escaped as std::bad_alloc instead of a pp::Error.
+TEST_F(ImageIo, RejectsHeaderLargerThanFile) {
+  for (const char* body :
+       {"P5 4096 4096 255\nab", "P5 2147483647 2147483647 255\n",
+        "P5 2 2 65535\n1234567", "P2 4096 4096 255\n0 1 0 1\n"}) {
+    std::ofstream f(path("big.pgm"), std::ios::binary);
+    f << body;
+    f.close();
+    try {
+      read_pgm(path("big.pgm"));
+      ADD_FAILURE() << "accepted " << body;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bytes follow"), std::string::npos)
+          << body << ": " << e.what();
+    }
+  }
+}
+
 TEST_F(Csv, WritesRowsWithEscaping) {
   {
     CsvWriter w(path("t.csv"));
@@ -243,6 +264,18 @@ TEST_F(GdsText, RejectsCorruptStreams) {
   EXPECT_THROW(read_gds_text(path("bad3.gds")), Error);
 
   EXPECT_THROW(read_gds_text(path("missing.gds")), Error);
+}
+
+// Structure-name dimensions are outside input: a non-numeric or
+// out-of-range value is a pp::Error, not an escaped std::stoi exception.
+TEST_F(GdsText, RejectsBadStructureDimensions) {
+  for (const char* name : {"c_wABC_h5", "c_w99999999999_h1", "c_w4_h4x",
+                           "c_w0_h4", "c_w-3_h4"}) {
+    std::ofstream f(path("dims.gds"));
+    f << "HEADER 600\nBGNSTR\nSTRNAME " << name << "\nENDSTR\n";
+    f.close();
+    EXPECT_THROW(read_gds_text(path("dims.gds")), Error) << name;
+  }
 }
 
 using StreamExport = TempDir;

@@ -24,6 +24,7 @@
 #include "nn/simd_kernels.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
+#include "obs/metrics.hpp"
 
 namespace pp::nn {
 namespace {
@@ -340,24 +341,90 @@ TEST_P(SimdBitExactTest, FusedLinearEpilogueMatchesUnfused) {
 }
 
 // A row of C must come out bitwise identical whether it is computed as part
-// of a large row range (register-blocked 4 rows at a time on AVX2) or alone
-// (the 1-row remainder kernel). This is the invariant that makes GEMM
-// results independent of thread chunking.
+// of a large row range (register-blocked 6 rows at a time on AVX2, 12 then
+// 6 on AVX-512) or alone (the 1-row remainder kernel). This is the
+// invariant that makes GEMM results independent of thread chunking. M
+// covers 12+1, 12+6+1 and 12+12+1 rows.
 TEST_P(SimdBitExactTest, GemmRowsIndependentOfRowBlocking) {
-  const int M = 13, N = 37, K = 29;
-  Tensor a = random_tensor({M, K}, 2200);
-  Tensor b = random_tensor({K, N}, 2201);
-  Tensor full({M, N});
-  sgemm_nn(M, N, K, a.data(), K, b.data(), N, full.data(), N, false);
-  for (int i = 0; i < M; ++i) {
-    Tensor row({1, N});
-    sgemm_nn(1, N, K, a.data() + static_cast<std::size_t>(i) * K, K, b.data(),
-             N, row.data(), N, false);
-    ASSERT_EQ(0, std::memcmp(row.data(),
-                             full.data() + static_cast<std::size_t>(i) * N,
-                             sizeof(float) * static_cast<std::size_t>(N)))
-        << "row " << i;
+  const int N = 37, K = 29;
+  for (int M : {13, 19, 25}) {
+    Tensor a = random_tensor({M, K}, 2200 + static_cast<std::uint64_t>(M));
+    Tensor b = random_tensor({K, N}, 2201);
+    Tensor full_nn({M, N}), full_tn({M, N});
+    sgemm_nn(M, N, K, a.data(), K, b.data(), N, full_nn.data(), N, false);
+    // TN reads the same buffer as A^T{K, M}: row i of C is column i of it.
+    sgemm_tn(M, N, K, a.data(), M, b.data(), N, full_tn.data(), N, false);
+    for (int i = 0; i < M; ++i) {
+      const std::size_t off = static_cast<std::size_t>(i) * N;
+      Tensor row({1, N});
+      sgemm_nn(1, N, K, a.data() + static_cast<std::size_t>(i) * K, K,
+               b.data(), N, row.data(), N, false);
+      ASSERT_EQ(0, std::memcmp(row.data(), full_nn.data() + off,
+                               sizeof(float) * static_cast<std::size_t>(N)))
+          << "nn M=" << M << " row " << i;
+      sgemm_tn(1, N, K, a.data() + i, M, b.data(), N, row.data(), N, false);
+      ASSERT_EQ(0, std::memcmp(row.data(), full_tn.data() + off,
+                               sizeof(float) * static_cast<std::size_t>(N)))
+          << "tn M=" << M << " row " << i;
+    }
   }
+}
+
+// Stride-1 3x3 pad-1 convs skip im2col on AVX-512 (conv3x3_s1 reads the
+// plane under per-tap lane masks); every other tier keeps im2col + GEMM.
+// Either way the output must equal im2col + sgemm_nn + the row epilogue
+// bit for bit. The planes put every row and column edge at every lane
+// position and leave ragged tails; Co covers the 12- and 6-row tiles and
+// every remainder; zero biases take the epilogue's skip.
+TEST_P(SimdBitExactTest, Conv3x3MatchesIm2colGemmBitwise) {
+  const bool implicit_kernel = detail::active_kernels().conv3x3_s1;
+  EXPECT_EQ(GetParam() == Isa::kAvx512, implicit_kernel);
+  const obs::Counter& implicit =
+      obs::metrics().counter("nn.conv2d.dispatch.implicit");
+  const std::uint64_t implicit_before = implicit.value();
+  const int sides[] = {1, 2, 3, 5, 8, 9, 16, 17, 20, 32, 33};
+  const int in_channels[] = {1, 3, 12};
+  const int out_channels[] = {1, 5, 6, 11, 12, 13, 24, 25};
+  std::uint64_t seed = 2400;
+  int pick = 0;
+  for (int H : sides) {
+    for (int W : sides) {
+      for (int Co : out_channels) {
+        // Ci, N and the activation rotate so every value meets every plane.
+        const int Ci = in_channels[pick % 3];
+        const int N = pick % 2 == 0 ? 1 : 3;
+        const Act act = pick % 4 < 2 ? Act::kNone : Act::kSilu;
+        ++pick;
+        Tensor x = random_tensor({N, Ci, H, W}, ++seed);
+        Tensor w = random_tensor({Co, Ci, 3, 3}, ++seed);
+        Tensor b = random_tensor({Co}, ++seed);
+        for (int co = 0; co < Co; co += 3) b.data()[co] = 0.0f;
+        Tensor got = conv2d_forward(x, w, b, 1, 1, ConvAlgo::kGemm, act);
+
+        const int P = H * W, K = Ci * 9;
+        Tensor ref({N, Co, H, W});
+        std::vector<float> col(static_cast<std::size_t>(K) * P);
+        GemmEpilogue epi;
+        epi.bias = b.data();
+        epi.act = act;
+        for (int n = 0; n < N; ++n) {
+          im2col(x.data() + static_cast<std::size_t>(n) * Ci * P, Ci, H, W, 3,
+                 3, 1, 1, H, W, col.data());
+          sgemm_nn(Co, P, K, w.data(), K, col.data(), P,
+                   ref.data() + static_cast<std::size_t>(n) * Co * P, P,
+                   false, &epi);
+        }
+        expect_bitwise(got, ref, "conv3x3");
+        if (HasFatalFailure()) {
+          ADD_FAILURE() << "H=" << H << " W=" << W << " Ci=" << Ci
+                        << " Co=" << Co << " N=" << N;
+          return;
+        }
+      }
+    }
+  }
+  // The AVX-512 leg must really have run the im2col-free kernel.
+  EXPECT_EQ(implicit_kernel, implicit.value() > implicit_before);
 }
 
 // Elementwise kernels are value-pure: splitting a buffer at an arbitrary
