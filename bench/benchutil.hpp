@@ -104,7 +104,7 @@ void emit_json_summary(const std::string& bench, double ms, double gflops,
                        const std::string& precision = "fp32");
 
 /// General variant with extra numeric fields appended in order, e.g.
-///   {"bench": "serve_closed_loop", "ms": ..., "rps": ..., "p50_ms": ...}
+///   {"bench": "expand_ab", "ms": ..., "sequential_ms": ..., "speedup": ...}
 /// Extra fields must stay scalar (scripts/check_bench_json.py enforces it).
 void emit_json_summary(
     const std::string& bench, double ms,

@@ -1,90 +1,10 @@
 #include "obs/expo.hpp"
 
-#include <cmath>
-#include <cstdio>
-
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace pp::obs {
-
-namespace {
-
-std::string fmt_num(double v) {
-  // Integers print bare (counter values stay grep-stable); everything else
-  // gets enough digits to round-trip typical latencies.
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void emit_sample(std::string& out, const std::string& name,
-                 const char* suffix, const char* labels, double v) {
-  out += name;
-  out += suffix;
-  out += labels;
-  out += ' ';
-  out += fmt_num(v);
-  out += '\n';
-}
-
-}  // namespace
-
-std::string prometheus_name(const std::string& name) {
-  std::string out = "pp_";
-  for (char c : name) {
-    bool alnum = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                 (c >= '0' && c <= '9');
-    out += alnum ? c : '_';
-  }
-  return out;
-}
-
-std::string prometheus_text() {
-  Json snap = metrics().to_json();
-  std::string out;
-  if (const Json* counters = snap.find("counters")) {
-    for (const auto& kv : counters->items()) {
-      std::string n = prometheus_name(kv.first);
-      out += "# TYPE " + n + " counter\n";
-      emit_sample(out, n, "", "", kv.second.as_number());
-    }
-  }
-  if (const Json* gauges = snap.find("gauges")) {
-    for (const auto& kv : gauges->items()) {
-      std::string n = prometheus_name(kv.first);
-      out += "# TYPE " + n + " gauge\n";
-      emit_sample(out, n, "", "", kv.second.as_number());
-    }
-  }
-  if (const Json* hists = snap.find("histograms")) {
-    for (const auto& kv : hists->items()) {
-      std::string n = prometheus_name(kv.first);
-      const Json& h = kv.second;
-      auto num = [&](const char* f) {
-        const Json* v = h.find(f);
-        return v ? v->as_number() : 0.0;
-      };
-      out += "# TYPE " + n + " summary\n";
-      emit_sample(out, n, "", "{quantile=\"0.5\"}", num("p50"));
-      emit_sample(out, n, "", "{quantile=\"0.95\"}", num("p95"));
-      emit_sample(out, n, "", "{quantile=\"0.99\"}", num("p99"));
-      emit_sample(out, n, "_sum", "", num("sum"));
-      emit_sample(out, n, "_count", "", num("count"));
-      out += "# TYPE " + n + "_min gauge\n";
-      emit_sample(out, n, "_min", "", num("min"));
-      out += "# TYPE " + n + "_max gauge\n";
-      emit_sample(out, n, "_max", "", num("max"));
-    }
-  }
-  return out;
-}
 
 Json metrics_snapshot_json() {
   Json out = Json::object();

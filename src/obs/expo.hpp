@@ -1,29 +1,12 @@
-// Scrape-facing exposition of the metrics registry.
-//
-// Two formats, both reading the registry through the same lock-free
-// snapshot path writers never notice:
-//   * prometheus_text() — Prometheus text format v0.0.4. Counters and
-//     gauges become `pp_<name>` samples; histograms become summaries
-//     (quantile 0.5/0.95/0.99 + _sum/_count) plus _min/_max gauges.
-//     Metric names are mangled `pp_` + name with every non-alphanumeric
-//     byte replaced by '_'. Output is sorted by name and numerically
-//     stable, so it golden-tests cleanly.
-//   * metrics_snapshot_json() — the registry's JSON form wrapped with a
-//     schema tag and uptime, the payload served for `metrics` wire
-//     requests and periodic snapshot files.
+// Scrape-facing exposition of the metrics registry: the registry's JSON
+// form wrapped with a schema tag and uptime, read through the same
+// lock-free snapshot path writers never notice. It is the payload served
+// for `metrics` wire requests and periodic snapshot files.
 #pragma once
-
-#include <string>
 
 namespace pp::obs {
 
 class Json;
-
-/// Prometheus-style mangling: "pp_" + name, non-alphanumerics -> '_'.
-std::string prometheus_name(const std::string& name);
-
-/// Full registry in Prometheus text format.
-std::string prometheus_text();
 
 /// {"snapshot": "pp.metrics.v1", "uptime_ms": ..., "metrics": {...},
 ///  "trace": {"events": n, "dropped_spans": n}}.

@@ -187,21 +187,4 @@ bool validate_run_report(const Json& report, std::string* err) {
   return true;
 }
 
-bool validate_bench_summary_line(const Json& line, std::string* err) {
-  if (!line.is_object()) return fail(err, "summary line: not an object");
-  const Json* bench = line.find("bench");
-  if (!bench || !bench->is_string() || bench->as_string().empty())
-    return fail(err, "summary line: 'bench' must be a non-empty string");
-  const Json* ms = line.find("ms");
-  if (!ms || !ms->is_number() || ms->as_number() < 0)
-    return fail(err, "summary line: 'ms' must be a non-negative number");
-  for (const auto& kv : line.items()) {
-    if (!kv.second.is_number() && !kv.second.is_string() &&
-        !kv.second.is_bool())
-      return fail(err, "summary line: field '" + kv.first +
-                           "' must be scalar");
-  }
-  return true;
-}
-
 }  // namespace pp::obs

@@ -2,16 +2,16 @@
 // observability source — metrics registry, span summary, trace status and
 // any registered extra sections (e.g. the thread pool publishes one).
 //
-// Schema (version 1, enforced by validate_run_report and by
-// scripts/check_bench_json.py):
+// Schema (version 1; validate_run_report is its one validator):
 //   {
 //     "schema_version": 1,
 //     "tool": "<producer name>",
 //     "wall_ms": <monotonic ms since process trace epoch>,
 //     "metrics": {"counters": {...}, "gauges": {...},
-//                 "histograms": {name: {count,sum,mean,p50,p95}}},
+//                 "histograms": {name: {count,sum,mean,p50,p95,p99,min,max}}},
 //     "spans": [{name,count,total_ms,p50_ms,p95_ms}, ...],
-//     "trace": {"enabled": bool, "events": n, "dropped": n},
+//     "trace": {"enabled": bool, "events": n, "dropped": n,
+//               "dropped_spans": n},
 //     ...one key per registered section (must be object or array)...
 //   }
 #pragma once
@@ -47,9 +47,5 @@ bool write_text_atomic(const std::string& path, const std::string& content);
 /// Structural validation against the version-1 schema. On failure returns
 /// false and stores a message in `err` (when non-null).
 bool validate_run_report(const Json& report, std::string* err = nullptr);
-
-/// Validates one bench summary line: {"bench": <string>, "ms": <number>}
-/// plus optional extra numeric/string fields.
-bool validate_bench_summary_line(const Json& line, std::string* err = nullptr);
 
 }  // namespace pp::obs

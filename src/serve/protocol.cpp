@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace pp::serve {
 
@@ -78,9 +79,15 @@ bool raster_from_json(const obs::Json& j, Raster* out) {
 
 namespace {
 
-bool whole_number(double d) {
-  return std::isfinite(d) && d >= 0 && d == std::floor(d);
+/// True when `d` is a whole number in [lo, hi]. NaN and infinities fail the
+/// range test, so the cast a caller makes next is always defined.
+bool whole_in(double d, double lo, double hi) {
+  return d >= lo && d <= hi && d == std::floor(d);
 }
+
+/// 2^53 - 1: every integer up to here has its own double. Above it a wire
+/// number can stand for two integers, so a seed or id could silently change.
+constexpr double kMaxExactU64 = 9007199254740991.0;
 
 }  // namespace
 
@@ -91,7 +98,8 @@ bool get_u64(const obs::Json& j, const char* key, std::uint64_t fallback,
     *out = fallback;
     return true;
   }
-  if (!f->is_number() || !whole_number(f->as_number())) return false;
+  if (!f->is_number() || !whole_in(f->as_number(), 0, kMaxExactU64))
+    return false;
   *out = static_cast<std::uint64_t>(f->as_number());
   return true;
 }
@@ -102,9 +110,11 @@ bool get_int(const obs::Json& j, const char* key, int fallback, int* out) {
     *out = fallback;
     return true;
   }
-  double d = f->is_number() ? f->as_number() : -1;
-  if (!f->is_number() || !std::isfinite(d) || d != std::floor(d)) return false;
-  *out = static_cast<int>(d);
+  if (!f->is_number() ||
+      !whole_in(f->as_number(), std::numeric_limits<int>::min(),
+                std::numeric_limits<int>::max()))
+    return false;
+  *out = static_cast<int>(f->as_number());
   return true;
 }
 

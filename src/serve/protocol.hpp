@@ -155,6 +155,8 @@ obs::Json raster_to_json(const Raster& r);
 bool raster_from_json(const obs::Json& j, Raster* out);
 
 /// Field helpers shared by the transport (strict: wrong type = error).
+/// get_u64 takes whole numbers in [0, 2^53 - 1] and get_int whole numbers
+/// in int's range; a value outside them is an error, never a wrapped cast.
 bool get_u64(const obs::Json& j, const char* key, std::uint64_t fallback,
              std::uint64_t* out);
 bool get_int(const obs::Json& j, const char* key, int fallback, int* out);

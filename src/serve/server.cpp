@@ -57,38 +57,6 @@ ServeMetrics& serve_metrics() {
   return *m;
 }
 
-/// "serve" section of the run report: a structured snapshot of the serve.*
-/// metrics so scrapers need not reach into the flat metrics map.
-/// Registered once per process, values aggregate across server instances.
-void register_serve_section() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    obs::register_report_section("serve", [] {
-      ServeMetrics& m = serve_metrics();
-      obs::Json o = obs::Json::object();
-      o.set("accepted", obs::Json(m.accepted.value()));
-      o.set("rejected", obs::Json(m.rejected.value()));
-      o.set("timeouts", obs::Json(m.timeouts.value()));
-      o.set("cancelled", obs::Json(m.cancelled.value()));
-      o.set("completed", obs::Json(m.completed.value()));
-      o.set("batches", obs::Json(m.batches.value()));
-      o.set("coalesced_requests", obs::Json(m.coalesced.value()));
-      o.set("samples", obs::Json(m.samples.value()));
-      o.set("joins", obs::Json(m.joins.value()));
-      o.set("leaves", obs::Json(m.leaves.value()));
-      o.set("repacks", obs::Json(m.repacks.value()));
-      o.set("cache_hits", obs::Json(m.cache_hits.value()));
-      o.set("cache_misses", obs::Json(m.cache_misses.value()));
-      o.set("queue_depth", obs::Json(m.queue_depth.value()));
-      o.set("e2e_p50_ms", obs::Json(m.e2e_ms.percentile(0.5)));
-      o.set("e2e_p95_ms", obs::Json(m.e2e_ms.percentile(0.95)));
-      o.set("e2e_p99_ms", obs::Json(m.e2e_ms.percentile(0.99)));
-      o.set("trace_dropped_spans", obs::Json(obs::trace_dropped()));
-      return o;
-    });
-  });
-}
-
 const char* op_name(GenRequest::Op op) {
   switch (op) {
     case GenRequest::Op::kInpaint:
@@ -181,7 +149,6 @@ GenerationServer::GenerationServer(std::shared_ptr<ModelRegistry> registry,
   PP_REQUIRE(cfg_.max_queue >= 1);
   PP_REQUIRE(cfg_.max_batch_samples >= 1);
   PP_REQUIRE(cfg_.shards >= 1);
-  register_serve_section();
   shards_.reserve(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
     auto sh = std::make_unique<Shard>();

@@ -218,8 +218,7 @@ class GenerationServer {
   std::atomic<bool> stop_hard_{false};
 
   // Instance-lifetime stats (also mirrored into the process metrics
-  // registry as serve.* counters/histograms and the "serve" report
-  // section).
+  // registry as serve.* counters/histograms).
   std::atomic<std::uint64_t> accepted_{0}, rejected_{0}, timeouts_{0},
       cancelled_{0}, completed_{0}, batches_{0}, batched_samples_{0},
       joins_{0}, leaves_{0}, repacks_{0};

@@ -416,43 +416,6 @@ TEST(Rolling, CollectorSnapshotJsonShape) {
 
 // --- Exposition -------------------------------------------------------------
 
-TEST(Expo, PrometheusNameMangling) {
-  EXPECT_EQ(prometheus_name("serve.e2e_ms"), "pp_serve_e2e_ms");
-  EXPECT_EQ(prometheus_name("a-b.c d"), "pp_a_b_c_d");
-  EXPECT_EQ(prometheus_name("already_ok9"), "pp_already_ok9");
-}
-
-TEST(Expo, PrometheusTextGolden) {
-  metrics().counter("obs_test.expo_hits").reset();
-  metrics().counter("obs_test.expo_hits").add(3);
-  metrics().gauge("obs_test.expo_depth").set(1.5);
-  Histogram& h = metrics().histogram("obs_test.expo_lat");
-  h.reset();
-  h.observe(2.0);
-  h.observe(4.0);
-
-  std::string text = prometheus_text();
-  // Exact expected exposition blocks for the fixture metrics (the registry
-  // is process-global, so assert on contained lines, not the whole text).
-  for (const char* want : {
-           "# TYPE pp_obs_test_expo_hits counter\npp_obs_test_expo_hits 3\n",
-           "# TYPE pp_obs_test_expo_depth gauge\npp_obs_test_expo_depth 1.5\n",
-           "# TYPE pp_obs_test_expo_lat summary\n",
-           "pp_obs_test_expo_lat{quantile=\"0.5\"}",
-           "pp_obs_test_expo_lat{quantile=\"0.95\"}",
-           "pp_obs_test_expo_lat{quantile=\"0.99\"}",
-           "pp_obs_test_expo_lat_sum 6\n",
-           "pp_obs_test_expo_lat_count 2\n",
-           "pp_obs_test_expo_lat_min 2\n",
-           "pp_obs_test_expo_lat_max 4\n",
-       })
-    EXPECT_NE(text.find(want), std::string::npos) << "missing: " << want;
-
-  metrics().counter("obs_test.expo_hits").reset();
-  metrics().gauge("obs_test.expo_depth").set(0.0);
-  h.reset();
-}
-
 TEST(Expo, MetricsSnapshotJsonShape) {
   Json snap = metrics_snapshot_json();
   EXPECT_EQ(snap.find("snapshot")->as_string(), "pp.metrics.v1");
@@ -750,25 +713,6 @@ TEST(RunReport, ValidatorRejectsBrokenReports) {
   EXPECT_FALSE(validate_run_report(scalar_section, &err));
 
   EXPECT_FALSE(validate_run_report(Json(1), &err));
-}
-
-TEST(RunReport, BenchSummaryLineValidation) {
-  std::string err;
-  Json good = Json::parse("{\"bench\": \"x\", \"ms\": 1.5}", &err);
-  ASSERT_TRUE(err.empty());
-  EXPECT_TRUE(validate_bench_summary_line(good, &err)) << err;
-
-  Json no_ms = Json::parse("{\"bench\": \"x\"}");
-  EXPECT_FALSE(validate_bench_summary_line(no_ms, &err));
-
-  Json bad_ms = Json::parse("{\"bench\": \"x\", \"ms\": \"fast\"}");
-  EXPECT_FALSE(validate_bench_summary_line(bad_ms, &err));
-
-  Json empty_name = Json::parse("{\"bench\": \"\", \"ms\": 1}");
-  EXPECT_FALSE(validate_bench_summary_line(empty_name, &err));
-
-  Json nested = Json::parse("{\"bench\": \"x\", \"ms\": 1, \"extra\": {}}");
-  EXPECT_FALSE(validate_bench_summary_line(nested, &err));
 }
 
 }  // namespace

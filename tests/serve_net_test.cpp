@@ -7,9 +7,13 @@
 //     shadow and must bypass the executor;
 //   - the epoll tier must multiplex 100+ concurrent TCP clients, survive
 //     slow consumers without blocking anyone, honour half-close, refuse a
-//     Unix socket path owned by a LIVE server but reclaim a stale one.
+//     Unix socket path owned by a LIVE server but reclaim a stale one;
+//   - under a 1000+ client stampede on a small admission queue, every
+//     client gets an answer, every cache replay is byte-equal, and both
+//     executor shards serve.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -20,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -209,6 +214,20 @@ TEST(ServeNet, CacheLruEvicts) {
 
 // ---- executor sharding --------------------------------------------------
 
+/// Each of the server's `shards` executor shards completed some request.
+void expect_every_shard_served(const GenerationServer& server,
+                               std::size_t shards) {
+  obs::Json stats = server.stats_json();
+  const obs::Json* shard_state = stats.find("shard_state");
+  ASSERT_NE(shard_state, nullptr);
+  ASSERT_EQ(shard_state->size(), shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    const obs::Json* served = shard_state->at(s).find("served");
+    ASSERT_NE(served, nullptr);
+    EXPECT_GT(served->as_number(), 0.0) << "shard " << s << " starved";
+  }
+}
+
 TEST(ServeNet, ShardsSpreadModelsAndServeAll) {
   auto registry = tiny_registry();
   registry->load(tiny_spec("u"));
@@ -224,15 +243,7 @@ TEST(ServeNet, ShardsSpreadModelsAndServeAll) {
   for (auto& f : futs) EXPECT_TRUE(f.get().ok());
   // Both entries saw traffic, so with round-robin routing both shards
   // must have executed work.
-  obs::Json stats = server.stats_json();
-  const obs::Json* shard_state = stats.find("shard_state");
-  ASSERT_NE(shard_state, nullptr);
-  ASSERT_EQ(shard_state->size(), 2u);
-  for (std::size_t s = 0; s < shard_state->size(); ++s) {
-    const obs::Json* served = shard_state->at(s).find("served");
-    ASSERT_NE(served, nullptr);
-    EXPECT_GT(served->as_number(), 0.0) << "shard " << s << " starved";
-  }
+  expect_every_shard_served(server, 2);
   server.shutdown();
 }
 
@@ -343,6 +354,110 @@ TEST(ServeNet, TcpCacheHitByteIdentical) {
   ASSERT_NE(warm_l, nullptr);
   EXPECT_EQ(cold_l->dump(), warm_l->dump());
   ::close(fd);
+}
+
+/// Raises the soft open-file limit to at least `want`; false when the hard
+/// limit is lower.
+bool raise_fd_limit(rlim_t want) {
+  rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return false;
+  if (rl.rlim_cur >= want) return true;
+  if (rl.rlim_max != RLIM_INFINITY && rl.rlim_max < want) return false;
+  rl.rlim_cur = want;
+  return ::setrlimit(RLIMIT_NOFILE, &rl) == 0;
+}
+
+// 1000+ clients hold a connection each at once, then each sends one sample
+// request at a 64-deep admission queue. Every client gets exactly one
+// answer, ok or a structured queue_full, and no connection is dropped.
+// Seeds repeat mod 32 over two models on two shards, so a replay of every
+// key that generated must come back cached and byte-equal, and both
+// shards must have served traffic.
+TEST(ServeNet, TcpStampedeAnswersEveryClient) {
+  const int kClients = 1050;
+  // Both ends of every connection live in this process.
+  const rlim_t fds = 2 * kClients + 64;
+  if (!raise_fd_limit(fds))
+    GTEST_SKIP() << "RLIMIT_NOFILE hard limit below " << fds;
+  ServerConfig cfg;
+  cfg.max_queue = 64;
+  cfg.shards = 2;
+  cfg.cache_entries = 512;
+  NetServerConfig ncfg;
+  ncfg.backlog = 2048;
+  TcpFixture fix(cfg, ncfg);
+  fix.registry->load(tiny_spec("u"));  // route 1: the second shard
+
+  auto model_of = [](int i) { return (i % 2 != 0) ? "u" : "t"; };
+  auto request = [](std::uint64_t id, const std::string& model, int seed) {
+    return "{\"op\":\"sample\",\"id\":" + std::to_string(id) +
+           ",\"model\":\"" + model + "\",\"seed\":" + std::to_string(seed) +
+           ",\"count\":1,\"steps\":2,\"finish\":true}";
+  };
+  // A lost reply must fail the test, not hang it.
+  const timeval patience{30, 0};
+  std::vector<int> clients;
+  for (int i = 0; i < kClients; ++i) {
+    int fd = connect_port(fix.port);
+    ASSERT_GE(fd, 0) << "client " << i << " could not connect";
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof(patience));
+    clients.push_back(fd);
+  }
+  for (int i = 0; i < kClients; ++i) {
+    const std::string line = request(i + 1, model_of(i), i % 32) + "\n";
+    // MSG_NOSIGNAL: a connection the server dropped shows up as a lost
+    // reply below instead of killing the test with SIGPIPE.
+    [[maybe_unused]] ssize_t n =
+        ::send(clients[i], line.data(), line.size(), MSG_NOSIGNAL);
+  }
+  int ok = 0, queue_full = 0;
+  std::vector<std::string> lost;
+  std::map<std::pair<std::string, int>, std::string> generated;  // -> patterns
+  for (int i = 0; i < kClients; ++i) {
+    LineReader reader(clients[i]);
+    std::string line;
+    obs::Json resp = reader.next(line) ? obs::Json::parse(line) : obs::Json();
+    bool resp_ok = false;
+    get_bool(resp, "ok", false, &resp_ok);
+    const obs::Json* err = resp.find("error");
+    const obs::Json* code = err ? err->find("code") : nullptr;
+    if (resp_ok && resp.find("patterns")) {
+      ++ok;
+      generated.emplace(std::make_pair(model_of(i), i % 32),
+                        resp.find("patterns")->dump());
+    } else if (code && code->is_string() &&
+               code->as_string() == "queue_full") {
+      ++queue_full;
+    } else {
+      lost.push_back("client " + std::to_string(i) + ": '" + line + "'");
+    }
+    ::close(clients[i]);
+  }
+  EXPECT_EQ(ok + queue_full, kClients);
+  EXPECT_TRUE(lost.empty()) << lost.size() << " clients got no ok or "
+                            << "queue_full reply, first " << lost.front();
+  ASSERT_FALSE(generated.empty());
+
+  int fd = connect_port(fix.port);
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  std::uint64_t id = 1000000;
+  int replayed = 0;
+  for (const auto& [key, patterns] : generated) {
+    ASSERT_TRUE(write_line_fd(fd, request(++id, key.first, key.second)));
+    std::string line;
+    ASSERT_TRUE(reader.next(line)) << key.first << "/" << key.second;
+    obs::Json resp = obs::Json::parse(line);
+    bool resp_ok = false, cached = false;
+    get_bool(resp, "ok", false, &resp_ok);
+    get_bool(resp, "cached", false, &cached);
+    const obs::Json* pats = resp.find("patterns");
+    if (resp_ok && cached && pats && pats->dump() == patterns) ++replayed;
+  }
+  ::close(fd);
+  EXPECT_EQ(replayed, static_cast<int>(generated.size()))
+      << "a replay was not a cache hit byte-equal to its generation";
+  expect_every_shard_served(*fix.server, 2);
 }
 
 // A client that half-closes (SHUT_WR) after sending still receives every

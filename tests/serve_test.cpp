@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -432,12 +433,24 @@ TEST(Serve, ProtocolSamplerKnobs) {
   EXPECT_EQ(req.steps, 0);
   EXPECT_DOUBLE_EQ(req.eta, -1.0);
 
+  // 2^53 - 1 is the largest seed a double carries exactly.
+  obs::Json max_seed = obs::Json::parse(
+      R"({"id":1,"op":"sample","model":"t","seed":9007199254740991})");
+  ASSERT_TRUE(gen_request_from_json(max_seed, &req, &err)) << err;
+  EXPECT_EQ(req.seed, 9007199254740991ull);
+
   for (const char* bad : {
            R"({"id":1,"op":"sample","model":"t","steps":-3})",
            R"({"id":1,"op":"sample","model":"t","steps":2.5})",
            R"({"id":1,"op":"sample","model":"t","eta":-0.1})",
            R"({"id":1,"op":"sample","model":"t","eta":1.01})",
            R"({"id":1,"op":"sample","model":"t","eta":"hot"})",
+           // Numbers outside the target type's range: no wrapped casts.
+           R"({"id":1,"op":"sample","model":"t","seed":1e20})",
+           R"({"id":1e20,"op":"sample","model":"t"})",
+           R"({"id":1,"op":"sample","model":"t","seed":9007199254740993})",
+           R"({"id":1,"op":"expand","model":"t","target_w":4294967328,"target_h":32})",
+           R"({"id":1,"op":"sample","model":"t","count":1e10})",
        }) {
     EXPECT_FALSE(gen_request_from_json(obs::Json::parse(bad), &req, &err))
         << bad;
@@ -790,6 +803,9 @@ TEST(Serve, PipeTransportConcurrentClients) {
 // The metrics/health wire ops return the live-scrape payloads: a tagged
 // registry snapshot with this server's rolling windows, and the rolling
 // health verdict. Sent mid-session over the same pipe as generation work.
+// Once every reply is in, the rolling e2e window must hold exactly one
+// observation per completed sample, and its p95 must match the replies'
+// own e2e_ms to within the histogram's one-bucket accuracy.
 TEST(Serve, MetricsAndHealthWireOps) {
   auto registry = tiny_registry();
   GenerationServer server(registry);
@@ -801,9 +817,20 @@ TEST(Serve, MetricsAndHealthWireOps) {
     ::close(c2s[0]);
     ::close(s2c[1]);
   });
-  write_line_fd(c2s[1], R"({"id":1,"op":"sample","model":"t","seed":9})");
-  write_line_fd(c2s[1], R"({"id":2,"op":"metrics"})");
-  write_line_fd(c2s[1], R"({"id":3,"op":"health"})");
+  // Mixed schedules, so the replies' e2e times spread over several buckets.
+  const int kSamples = 24;
+  const int kStepsCycle[] = {2, 4, 8};
+  for (int i = 0; i < kSamples; ++i) {
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  R"({"id":%d,"op":"sample","model":"t","seed":%d,"steps":%d})",
+                  10 + i, i, kStepsCycle[i % 3]);
+    write_line_fd(c2s[1], line);
+    if (i == kSamples / 2) {
+      write_line_fd(c2s[1], R"({"id":2,"op":"metrics"})");
+      write_line_fd(c2s[1], R"({"id":3,"op":"health"})");
+    }
+  }
   ::close(c2s[1]);
 
   LineReader reader(s2c[0]);
@@ -819,7 +846,32 @@ TEST(Serve, MetricsAndHealthWireOps) {
   serve_thread.join();
   ::close(s2c[0]);
 
-  ASSERT_EQ(by_id.size(), 3u);
+  ASSERT_EQ(by_id.size(), 2u + kSamples);
+  std::vector<double> e2e;
+  for (int i = 0; i < kSamples; ++i) {
+    const obs::Json& reply = by_id[10 + i];
+    bool ok = false;
+    ASSERT_TRUE(get_bool(reply, "ok", false, &ok) && ok) << reply.dump();
+    e2e.push_back(reply.find("e2e_ms")->as_number());
+  }
+  // Nearest-rank p95, the rank the histogram estimator uses.
+  std::sort(e2e.begin(), e2e.end());
+  const double exact_p95 =
+      e2e[static_cast<std::size_t>(std::ceil(0.95 * e2e.size())) - 1];
+  const obs::Json snap = server.metrics_json();
+  const obs::Json* rolled = snap.find("rolling")
+                                ->find("long")
+                                ->find("histograms")
+                                ->find("serve.e2e_ms");
+  ASSERT_NE(rolled, nullptr);
+  EXPECT_EQ(rolled->find("count")->as_number(), static_cast<double>(kSamples));
+  const double rolled_p95 = rolled->find("p95")->as_number();
+  ASSERT_GT(rolled_p95, 0.0);
+  ASSERT_GT(exact_p95, 0.0);
+  EXPECT_LE(std::max(rolled_p95, exact_p95) / std::min(rolled_p95, exact_p95),
+            obs::Histogram::bucket_ratio() * 1.10)
+      << "rolling p95 " << rolled_p95 << " ms vs exact " << exact_p95 << " ms";
+
   const obs::Json* metrics = by_id[2].find("metrics");
   ASSERT_NE(metrics, nullptr) << by_id[2].dump();
   EXPECT_EQ(metrics->find("snapshot")->as_string(), "pp.metrics.v1");
