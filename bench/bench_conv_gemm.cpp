@@ -4,19 +4,14 @@
 // either path changes.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "benchutil.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "nn/autograd.hpp"
 #include "nn/gemm.hpp"
 #include "nn/kernels.hpp"
-#include "nn/quant.hpp"
 #include "nn/simd.hpp"
 
 namespace {
@@ -52,16 +47,11 @@ void BM_Conv(benchmark::State& state, const Shape& s, ConvAlgo algo) {
   }
 }
 
-/// One JSON line per shape, algorithm, usable kernel ISA, and precision
-/// tier: quick wall numbers plus GFLOP/s for the cross-PR perf trajectory.
-/// Each ISA is measured under force_isa so one run reports the
-/// scalar/AVX2/AVX-512 ratios; the quantized tiers ride the same shapes so
-/// the int8-vs-fp32 speedup at UNet geometry is in the same scrape.
-/// `gemm_*` lines time the GEMM kernel alone at the im2col'd shape with
-/// pre-quantized operands (the registry quantizes weights at load time;
-/// activation-quant cost lives in the `conv_i8_*` lines, which run the
-/// real conv2d_forward dispatch end to end). int8 GFLOP/s counts the same
-/// 2*M*N*K as the fp32 GEMM it replaces, so the ratio reads directly.
+/// One JSON line per shape, algorithm and usable kernel ISA: quick wall
+/// numbers plus GFLOP/s for the cross-PR perf trajectory. Each ISA is
+/// measured under force_isa so one run reports the scalar/AVX2/AVX-512
+/// ratios. `gemm_*` lines time the GEMM kernel alone at the conv's im2col
+/// shape; `conv_*` lines run conv2d_forward end to end.
 void emit_summaries() {
   Rng rng(7);
   std::vector<nn::Isa> isas = {nn::Isa::kScalar};
@@ -77,106 +67,25 @@ void emit_summaries() {
     Tensor gb = Tensor::randn({gk, gn}, rng, 0.1f);
     Tensor gc = Tensor::zeros({gm, gn});
     const double gemm_flops = 2.0 * gm * gk * static_cast<double>(gn);
-    // Pre-quantized operands for the int8 kernel lines: weights per row
-    // (the registry's scheme), activations per tensor, both scalar.
-    std::vector<std::int16_t> qa(static_cast<std::size_t>(gm) * gk);
-    std::vector<std::int16_t> qb(static_cast<std::size_t>(gn) * gk);
-    std::vector<float> row_scale(gm);
-    for (int i = 0; i < gm; ++i) {
-      const float* row = ga.data() + static_cast<std::size_t>(i) * gk;
-      float amax = 0.0f;
-      for (int j = 0; j < gk; ++j) amax = std::max(amax, std::fabs(row[j]));
-      row_scale[i] = amax / 127.0f;
-      const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
-      for (int j = 0; j < gk; ++j)
-        qa[static_cast<std::size_t>(i) * gk + j] =
-            static_cast<std::int16_t>(std::lrintf(row[j] * inv));
-    }
-    Tensor gbt = Tensor::randn({gn, gk}, rng, 0.1f);  // NT layout for B
-    float bmax = 0.0f;
-    for (std::size_t i = 0; i < qb.size(); ++i)
-      bmax = std::max(bmax, std::fabs(gbt.data()[i]));
-    const float binv = bmax == 0.0f ? 0.0f : 127.0f / bmax;
-    for (std::size_t i = 0; i < qb.size(); ++i)
-      qb[i] = static_cast<std::int16_t>(std::lrintf(gbt.data()[i] * binv));
-    nn::GemmEpilogue qepi;
-    qepi.dequant_row = row_scale.data();
-    qepi.dequant_scale = bmax / 127.0f;
-    // Weights pack once at registry load in the real tier, so the kernel
-    // line times a pre-packed B — symmetric with the fp32 lines' pre-formed
-    // operands. Per-call quantize+pack cost shows up in conv_i8_* instead.
-    // 64-byte alignment matches what Workspace gives the real path: every
-    // panel row is exactly one cache line, so loads never split.
-    std::vector<std::int16_t, nn::AlignedAllocator<std::int16_t>> qbp(
-        nn::packed_i8_size(gn, gk));
-    nn::pack_i8_b(qb.data(), gn, gk, nn::I8Layout::kNT, gk, qbp.data());
-    // bf16 rendering of the weights (round-to-nearest-even truncation);
-    // the timed loop includes the per-call widen, as the real tier does.
-    std::vector<std::uint16_t> abf(qa.size());
-    std::vector<float> awide(qa.size());
-    for (std::size_t i = 0; i < abf.size(); ++i) {
-      std::uint32_t u;
-      std::memcpy(&u, ga.data() + i, 4);
-      u += 0x7FFFu + ((u >> 16) & 1u);
-      abf[i] = static_cast<std::uint16_t>(u >> 16);
-    }
     for (nn::Isa isa : isas) {
       nn::force_isa(isa);
       const char* iname = nn::isa_name(isa);
       nn::sgemm_nn(gm, gn, gk, ga.data(), gk, gb.data(), gn, gc.data(), gn,
                    /*accumulate=*/false);  // warm-up
       const int reps = 50;
-      {
-        Timer t;
-        for (int i = 0; i < reps; ++i) {
-          nn::sgemm_nn(gm, gn, gk, ga.data(), gk, gb.data(), gn, gc.data(),
-                       gn, /*accumulate=*/false);
-          benchmark::DoNotOptimize(gc.data());
-        }
-        const double ms = t.seconds() * 1e3 / reps;
-        bench::emit_json_summary(std::string("gemm_") + s.name + "_" + iname,
-                                 ms, gemm_flops / (ms * 1e6), iname);
+      Timer t;
+      for (int i = 0; i < reps; ++i) {
+        nn::sgemm_nn(gm, gn, gk, ga.data(), gk, gb.data(), gn, gc.data(), gn,
+                     /*accumulate=*/false);
+        benchmark::DoNotOptimize(gc.data());
       }
-      {
-        nn::sgemm_i8_nt(gm, gn, gk, qa.data(), gk, qbp.data(), 0, gc.data(),
-                        gn, &qepi, nn::I8Layout::kPacked);  // warm-up
-        Timer t;
-        for (int i = 0; i < reps; ++i) {
-          nn::sgemm_i8_nt(gm, gn, gk, qa.data(), gk, qbp.data(), 0,
-                          gc.data(), gn, &qepi, nn::I8Layout::kPacked);
-          benchmark::DoNotOptimize(gc.data());
-        }
-        const double ms = t.seconds() * 1e3 / reps;
-        bench::emit_json_summary(std::string("gemm_i8_") + s.name + "_" +
-                                     iname,
-                                 ms, gemm_flops / (ms * 1e6), iname, "int8");
-      }
-      {
-        Timer t;
-        for (int i = 0; i < reps; ++i) {
-          for (std::size_t j = 0; j < abf.size(); ++j) {
-            const std::uint32_t u = static_cast<std::uint32_t>(abf[j]) << 16;
-            std::memcpy(&awide[j], &u, 4);
-          }
-          nn::sgemm_nn(gm, gn, gk, awide.data(), gk, gb.data(), gn,
-                       gc.data(), gn, /*accumulate=*/false);
-          benchmark::DoNotOptimize(gc.data());
-        }
-        const double ms = t.seconds() * 1e3 / reps;
-        bench::emit_json_summary(std::string("gemm_bf16_") + s.name + "_" +
-                                     iname,
-                                 ms, gemm_flops / (ms * 1e6), iname, "bf16");
-      }
+      const double ms = t.seconds() * 1e3 / reps;
+      bench::emit_json_summary(std::string("gemm_") + s.name + "_" + iname,
+                               ms, gemm_flops / (ms * 1e6), iname);
     }
     Tensor x = Tensor::randn({1, s.ci, s.h, s.w}, rng);
     Tensor w = Tensor::randn({s.co, s.ci, s.k, s.k}, rng, 0.1f);
     Tensor b = Tensor::randn({s.co}, rng);
-    // Registering the conv weight publishes its quantized tables, so the
-    // conv_i8_* lines below run the production int8 dispatch (dynamic
-    // activation quant included) through conv2d_forward itself.
-    nn::Var wv = nn::make_param(std::move(w));
-    nn::QuantizedModelWeights qreg({wv});
-    const Tensor& wq = wv->value;
     const int ho = (s.h + 2 * s.pad - s.k) / s.stride + 1;
     const int wo = (s.w + 2 * s.pad - s.k) / s.stride + 1;
     const double flops = 2.0 * s.co * s.ci * s.k * s.k *
@@ -184,11 +93,11 @@ void emit_summaries() {
     for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm}) {
       for (nn::Isa isa : isas) {
         nn::force_isa(isa);
-        nn::conv2d_forward(x, wq, b, s.stride, s.pad, algo);  // warm-up
+        nn::conv2d_forward(x, w, b, s.stride, s.pad, algo);  // warm-up
         const int reps = 20;
         Timer t;
         for (int i = 0; i < reps; ++i) {
-          Tensor out = nn::conv2d_forward(x, wq, b, s.stride, s.pad, algo);
+          Tensor out = nn::conv2d_forward(x, w, b, s.stride, s.pad, algo);
           benchmark::DoNotOptimize(out.data());
         }
         const double ms = t.seconds() * 1e3 / reps;
@@ -198,23 +107,6 @@ void emit_summaries() {
                            "_" + nn::isa_name(isa);
         bench::emit_json_summary(name, ms, gflops, nn::isa_name(isa));
       }
-    }
-    for (nn::Isa isa : isas) {
-      nn::force_isa(isa);
-      const nn::ScopedPrecision pin(nn::Precision::kInt8);
-      nn::conv2d_forward(x, wq, b, s.stride, s.pad, ConvAlgo::kGemm);
-      const int reps = 20;
-      Timer t;
-      for (int i = 0; i < reps; ++i) {
-        Tensor out =
-            nn::conv2d_forward(x, wq, b, s.stride, s.pad, ConvAlgo::kGemm);
-        benchmark::DoNotOptimize(out.data());
-      }
-      const double ms = t.seconds() * 1e3 / reps;
-      bench::emit_json_summary(std::string("conv_i8_") + s.name + "_gemm_" +
-                                   nn::isa_name(isa),
-                               ms, flops / (ms * 1e6), nn::isa_name(isa),
-                               "int8");
     }
   }
   nn::clear_forced_isa();

@@ -18,7 +18,6 @@
 #include "diffusion/convert.hpp"
 #include "legalize/feasible_topology.hpp"
 #include "legalize/solver.hpp"
-#include "nn/quant.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "select/masks.hpp"
@@ -155,48 +154,6 @@ void report_cost_per_legal() {
                   attempts);
   } catch (const std::exception& e) {
     std::printf("PatternPaint-ft  : skipped (%s)\n", e.what());
-  }
-}
-
-/// int8 end-to-end quality gate: the DRC pass rate of the full per-sample
-/// pipeline (inpaint -> template denoise -> DRC) under int8 kernels must
-/// stay within 2 points of fp32. Each leg builds a fresh model from the
-/// same cache and construction seed, so the two legs draw identical noise
-/// and differ only in the precision tier the conv/linear kernels run at.
-void report_quantized_quality() {
-  using pp::bench::get_scale;
-  try {
-    auto starters = bench::starter_patterns(get_scale().starters);
-    auto masks = all_masks(bench::clip_size(), bench::clip_size());
-    const int attempts = 24;
-    auto leg = [&](nn::Precision prec) {
-      auto model = bench::make_model("sd1", true, starters);
-      const nn::ScopedPrecision pin(prec);
-      int ok = 0;
-      for (int i = 0; i < attempts; ++i) {
-        const Raster& st = starters[static_cast<std::size_t>(i) % starters.size()];
-        auto raws = model->inpaint_variations(
-            st, masks[static_cast<std::size_t>(i) % masks.size()], 1);
-        ok += model->finish_sample(raws[0], st).legal;
-      }
-      return ok;
-    };
-    Timer t;
-    const int ok32 = leg(nn::Precision::kFp32);
-    const int ok8 = leg(nn::Precision::kInt8);
-    const double r32 = 100.0 * ok32 / attempts;
-    const double r8 = 100.0 * ok8 / attempts;
-    const double gap = r32 > r8 ? r32 - r8 : r8 - r32;
-    std::printf("quantized quality: DRC pass fp32 %.1f%% (%d/%d), int8 %.1f%% "
-                "(%d/%d), gap %.1f points [%s]\n",
-                r32, ok32, attempts, r8, ok8, attempts, gap,
-                gap <= 2.0 ? "OK" : "DRIFT");
-    emit_json_summary("table2_drc_quantized", t.seconds() * 1e3,
-                      {{"pass_rate_fp32", r32},
-                       {"pass_rate_int8", r8},
-                       {"gap_points", gap}});
-  } catch (const std::exception& e) {
-    std::printf("quantized quality: skipped (%s)\n", e.what());
   }
 }
 
@@ -344,7 +301,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   report_cost_per_legal();
-  report_quantized_quality();
   report_finish_stage();
   emit_inpaint_summaries();
   run_traced_pipeline();

@@ -172,11 +172,10 @@ void emit_json_summary(const std::string& bench, double ms) {
 }
 
 void emit_json_summary(const std::string& bench, double ms, double gflops,
-                       const std::string& isa, const std::string& precision) {
+                       const std::string& isa) {
   std::printf(
-      "{\"bench\": \"%s\", \"ms\": %.3f, \"gflops\": %.3f, \"isa\": \"%s\", "
-      "\"precision\": \"%s\"}\n",
-      bench.c_str(), ms, gflops, isa.c_str(), precision.c_str());
+      "{\"bench\": \"%s\", \"ms\": %.3f, \"gflops\": %.3f, \"isa\": \"%s\"}\n",
+      bench.c_str(), ms, gflops, isa.c_str());
   std::fflush(stdout);
 }
 

@@ -93,15 +93,11 @@ Trajectory run_trajectory(const std::string& preset, bool finetuned);
 /// across PRs (grep '^{"bench"').
 void emit_json_summary(const std::string& bench, double ms);
 
-/// Kernel-bench variant that also records arithmetic throughput, the
-/// kernel ISA and the precision tier the measurement ran under:
-///   {"bench": "<name>", "ms": ..., "gflops": ...,
-///    "isa": "scalar|avx2|avx512", "precision": "fp32|bf16|int8"}
-/// For int8 lines gflops counts the same 2*M*N*K as the fp32 GEMM it
-/// replaces (effective throughput), so tier ratios compare directly.
+/// Kernel-bench variant that also records arithmetic throughput and the
+/// kernel ISA the measurement ran under:
+///   {"bench": "<name>", "ms": ..., "gflops": ..., "isa": "scalar|avx2|avx512"}
 void emit_json_summary(const std::string& bench, double ms, double gflops,
-                       const std::string& isa,
-                       const std::string& precision = "fp32");
+                       const std::string& isa);
 
 /// General variant with extra numeric fields appended in order, e.g.
 ///   {"bench": "expand_ab", "ms": ..., "sequential_ms": ..., "speedup": ...}

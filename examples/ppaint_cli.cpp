@@ -21,7 +21,9 @@
 //
 // Rule sets: default | complex | complex-discrete (optionally "/2" suffix
 // for the half-scaled 32px variant, e.g. "complex-discrete/2").
-// Running without arguments prints usage and exits 0.
+// Running without arguments prints usage and exits 0. A malformed numeric
+// argument ("1e3", "32x", a negative seed) exits 2 with a message naming
+// it, before any file or server is touched.
 //
 // `client` round-trips one generation against a running ppaint_serve:
 // connect to a Unix socket (or spawn a pipe-mode server child), load a
@@ -37,14 +39,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
-
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/error.hpp"
 #include "drc/checker.hpp"
 #include "nn/simd.hpp"
@@ -60,6 +63,18 @@
 namespace {
 
 using namespace pp;
+using cli::parse_num;
+
+constexpr const char* kProg = "ppaint_cli";
+/// Seeds travel as NDJSON numbers, exact only up to 2^53 - 1.
+constexpr long long kMaxWireSeed = static_cast<long long>(serve::kMaxWireU64);
+
+/// Parses the optional numeric argument args[i] into *out; an absent one
+/// keeps *out's default. False after a usage error naming `name`.
+bool opt_num(const std::vector<std::string>& args, std::size_t i,
+             const char* name, long long lo, long long hi, long long* out) {
+  return i >= args.size() || parse_num(kProg, name, args[i], lo, hi, out);
+}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -91,17 +106,20 @@ void save_any(const std::vector<Raster>& lib, const std::string& path) {
 }
 
 int cmd_gen(const std::vector<std::string>& args) {
-  int n = std::stoi(args.at(0));
+  long long n = 0, clip = 64, seed = 42;
+  if (!parse_num(kProg, "<n>", args.at(0), 1, INT_MAX, &n) ||
+      !opt_num(args, 3, "[clip_size]", 16, 4096, &clip) ||
+      !opt_num(args, 4, "[seed]", 0, LLONG_MAX, &seed))
+    return 2;
   std::string out = args.at(1);
   RuleSet rules = parse_rules(args.size() > 2 ? args[2] : "complex-discrete");
-  int clip = args.size() > 3 ? std::stoi(args[3]) : 64;
-  std::uint64_t seed = args.size() > 4 ? std::stoull(args[4]) : 42;
-  Rng rng(seed);
-  TrackPatternGenerator gen(track_config_for_clip(clip), rules);
+  Rng rng(static_cast<std::uint64_t>(seed));
+  TrackPatternGenerator gen(track_config_for_clip(static_cast<int>(clip)),
+                            rules);
   auto lib = gen.generate(static_cast<std::size_t>(n), rng);
   save_any(lib, out);
-  std::printf("generated %d DR-clean %dx%d clips under '%s' -> %s\n", n, clip,
-              clip, rules.name.c_str(), out.c_str());
+  std::printf("generated %lld DR-clean %lldx%lld clips under '%s' -> %s\n", n,
+              clip, clip, rules.name.c_str(), out.c_str());
   return 0;
 }
 
@@ -328,8 +346,10 @@ bool await_response(serve::LineReader& reader, std::uint64_t id,
 
 int cmd_client(const std::vector<std::string>& args) {
   const std::string target = args.at(0);
-  const int count = args.size() > 1 ? std::stoi(args[1]) : 2;
-  const std::uint64_t seed = args.size() > 2 ? std::stoull(args[2]) : 7;
+  long long count = 2, seed = 7;
+  if (!opt_num(args, 1, "[count]", 1, 4096, &count) ||
+      !opt_num(args, 2, "[seed]", 0, kMaxWireSeed, &seed))
+    return 2;
 
   ServeConn conn;
   if (!open_target("client", target, &conn)) return 1;
@@ -370,8 +390,8 @@ int cmd_client(const std::vector<std::string>& args) {
   req.set("id", obs::Json(3));
   req.set("op", obs::Json("sample"));
   req.set("model", obs::Json("cli"));
-  req.set("seed", obs::Json(seed));
-  req.set("count", obs::Json(count));
+  req.set("seed", obs::Json(static_cast<std::uint64_t>(seed)));
+  req.set("count", obs::Json(static_cast<int>(count)));
   req.set("finish", obs::Json(true));
   if (!send(req) || !await_response(reader, 3, &resp)) return 1;
   serve::get_bool(resp, "ok", false, &ok);
@@ -428,11 +448,13 @@ std::string str_of(const obs::Json* o, const char* key) {
 /// must fit inside one clip window of the loaded model.
 int cmd_expand(const std::vector<std::string>& args) {
   const std::string target = args.at(0);
-  const int target_w = std::stoi(args.at(1));
-  const int target_h = std::stoi(args.at(2));
+  long long target_w = 0, target_h = 0, rng_seed = 7;
+  if (!parse_num(kProg, "<W>", args.at(1), 1, 4096, &target_w) ||
+      !parse_num(kProg, "<H>", args.at(2), 1, 4096, &target_h) ||
+      !opt_num(args, 5, "[rng_seed]", 0, kMaxWireSeed, &rng_seed))
+    return 2;
   const std::string out_prefix = args.at(3);
   const std::string seed_pgm = args.size() > 4 ? args[4] : "";
-  const std::uint64_t rng_seed = args.size() > 5 ? std::stoull(args[5]) : 7;
 
   ServeConn conn;
   if (!open_target("expand", target, &conn)) return 1;
@@ -466,9 +488,9 @@ int cmd_expand(const std::vector<std::string>& args) {
   req.set("id", obs::Json(2));
   req.set("op", obs::Json("expand"));
   req.set("model", obs::Json("cli"));
-  req.set("seed", obs::Json(rng_seed));
-  req.set("target_w", obs::Json(target_w));
-  req.set("target_h", obs::Json(target_h));
+  req.set("seed", obs::Json(static_cast<std::uint64_t>(rng_seed)));
+  req.set("target_w", obs::Json(static_cast<int>(target_w)));
+  req.set("target_h", obs::Json(static_cast<int>(target_h)));
   req.set("steps", obs::Json(2));
   if (!seed_pgm.empty())
     req.set("seed_raster", serve::raster_to_json(read_pgm(seed_pgm)));
@@ -547,17 +569,13 @@ void render_top_frame(int frame, const obs::Json& health_resp,
         num_of(child_of(ctrs, "serve.timeouts"), "count"),
         num_of(child_of(ctrs, "serve.cancelled"), "count"));
   }
-  // Loaded models with their precision tiers and the memory the quantized
-  // weight tables save over a second fp32 copy.
   const obs::Json* stats = stats_resp.find("stats");
   const obs::Json* models = child_of(stats, "models");
   for (std::size_t i = 0; models && i < models->size(); ++i) {
     const obs::Json* mdl = &models->at(i);
-    std::printf(
-        "model %-10s precisions %-15s quantized tensors %.0f"
-        "  bytes saved %.0f\n",
-        str_of(mdl, "key").c_str(), str_of(mdl, "precisions").c_str(),
-        num_of(mdl, "quantized_tensors"), num_of(mdl, "quant_bytes_saved"));
+    std::printf("model %-10s clip %.0f  generation %.0f  parameters %.0f\n",
+                str_of(mdl, "key").c_str(), num_of(mdl, "clip"),
+                num_of(mdl, "generation"), num_of(mdl, "parameters"));
   }
   std::fflush(stdout);
 }
@@ -567,8 +585,10 @@ void render_top_frame(int frame, const obs::Json& health_resp,
 /// `metrics` wire ops. iterations 0 = until the connection drops.
 int cmd_top(const std::vector<std::string>& args) {
   const std::string target = args.at(0);
-  const int iterations = args.size() > 1 ? std::stoi(args[1]) : 0;
-  const int interval_ms = args.size() > 2 ? std::stoi(args[2]) : 1000;
+  long long iterations = 0, interval_ms = 1000;
+  if (!opt_num(args, 1, "[iterations]", 0, INT_MAX, &iterations) ||
+      !opt_num(args, 2, "[interval_ms]", 0, 3600 * 1000, &interval_ms))
+    return 2;
 
   ServeConn conn;
   if (!open_target("top", target, &conn)) return 1;

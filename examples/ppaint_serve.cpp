@@ -42,7 +42,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -53,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/report.hpp"
 #include "serve/net.hpp"
 #include "serve/registry.hpp"
@@ -62,6 +62,9 @@
 namespace {
 
 using namespace pp;
+using cli::parse_num;
+
+constexpr const char* kProg = "ppaint_serve";
 
 volatile std::sig_atomic_t g_signalled = 0;
 
@@ -104,26 +107,6 @@ void usage() {
                "src/serve/protocol.hpp.\n");
 }
 
-/// Strict numeric flag parsing: the WHOLE value must be an integer inside
-/// [lo, hi]. "--max-queue banana" is a usage error on stderr, never an
-/// uncaught std::invalid_argument aborting the process.
-bool parse_num(const char* flag, const std::string& v, long long lo,
-               long long hi, long long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (v.empty() || errno != 0 || end != v.c_str() + v.size() || x < lo ||
-      x > hi) {
-    std::fprintf(stderr,
-                 "ppaint_serve: %s needs an integer in [%lld, %lld], got "
-                 "'%s'\n",
-                 flag, lo, hi, v.c_str());
-    return false;
-  }
-  *out = x;
-  return true;
-}
-
 bool parse_hostport(const char* flag, const std::string& v, std::string* host,
                     int* port) {
   const std::size_t colon = v.rfind(':');
@@ -133,7 +116,8 @@ bool parse_hostport(const char* flag, const std::string& v, std::string* host,
     return false;
   }
   long long p = 0;
-  if (!parse_num(flag, v.substr(colon + 1), 0, 65535, &p)) return false;
+  if (!parse_num(kProg, flag, v.substr(colon + 1), 0, 65535, &p))
+    return false;
   *host = v.substr(0, colon);
   *port = static_cast<int>(p);
   return true;
@@ -167,29 +151,33 @@ bool parse_options(int argc, char** argv, Options* opt) {
     };
     long long n = 0;
     if (args[i] == "--max-queue") {
-      if (!parse_num("--max-queue", next("--max-queue"), 1, 1 << 20, &n))
+      if (!parse_num(kProg, "--max-queue", next("--max-queue"), 1, 1 << 20,
+                     &n))
         return false;
       opt->server.max_queue = static_cast<std::size_t>(n);
     } else if (args[i] == "--max-batch") {
-      if (!parse_num("--max-batch", next("--max-batch"), 1, 4096, &n))
+      if (!parse_num(kProg, "--max-batch", next("--max-batch"), 1, 4096, &n))
         return false;
       opt->server.max_batch_samples = static_cast<int>(n);
     } else if (args[i] == "--shards") {
-      if (!parse_num("--shards", next("--shards"), 1, 256, &n)) return false;
+      if (!parse_num(kProg, "--shards", next("--shards"), 1, 256, &n))
+        return false;
       opt->server.shards = static_cast<std::size_t>(n);
     } else if (args[i] == "--cache") {
-      if (!parse_num("--cache", next("--cache"), 0, 1 << 24, &n)) return false;
+      if (!parse_num(kProg, "--cache", next("--cache"), 0, 1 << 24, &n))
+        return false;
       opt->server.cache_entries = static_cast<std::size_t>(n);
     } else if (args[i] == "--tcp") {
       if (!parse_hostport("--tcp", next("--tcp"), &opt->tcp_host,
                           &opt->tcp_port))
         return false;
     } else if (args[i] == "--backlog") {
-      if (!parse_num("--backlog", next("--backlog"), 1, 65535, &n))
+      if (!parse_num(kProg, "--backlog", next("--backlog"), 1, 65535, &n))
         return false;
       opt->backlog = static_cast<int>(n);
     } else if (args[i] == "--max-conns") {
-      if (!parse_num("--max-conns", next("--max-conns"), 1, 1 << 20, &n))
+      if (!parse_num(kProg, "--max-conns", next("--max-conns"), 1, 1 << 20,
+                     &n))
         return false;
       opt->max_conns = static_cast<std::size_t>(n);
     } else if (args[i] == "--port-file") {
@@ -199,7 +187,8 @@ bool parse_options(int argc, char** argv, Options* opt) {
     } else if (args[i] == "--publish") {
       opt->publish_path = next("--publish");
     } else if (args[i] == "--publish-ms") {
-      if (!parse_num("--publish-ms", next("--publish-ms"), 1, 1 << 30, &n))
+      if (!parse_num(kProg, "--publish-ms", next("--publish-ms"), 1, 1 << 30,
+                     &n))
         return false;
       opt->publish_ms = static_cast<int>(n);
     } else if (args[i] == "--request-log") {

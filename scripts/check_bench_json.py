@@ -4,8 +4,8 @@
 Checks two kinds of files:
 
   * bench logs — stdout captures containing '{"bench": ..., "ms": ...}'
-    summary lines (grep '^{"bench"' compatible), plus the perf gates of
-    bench_conv_gemm and bench_expand;
+    summary lines (grep '^{"bench"' compatible), plus the acceptance lines
+    of bench_expand;
   * wide-event request logs — the serve tier's NDJSON request log (one
     "serve.request" event per completed/rejected request, written by
     src/serve/server.cpp), schema-checked line by line.
@@ -27,16 +27,10 @@ import argparse
 import json
 import sys
 
-# Kernel-bench dimensions (src/nn/simd.hpp Isa, src/nn/quant.hpp Precision).
+# Kernel-bench ISA dimension (src/nn/simd.hpp Isa).
 ISAS = ("scalar", "avx2", "avx512")
-VECTOR_ISAS = ("avx2", "avx512")
-PRECISIONS = ("fp32", "bf16", "int8")
-# Acceptance floor for the quantized GEMM tier: int8 must beat fp32 by at
-# least this factor on the same VECTOR isa (scalar int8 is the bitwise
-# parity reference, not a fast path, so it is exempt).
-INT8_SPEEDUP_MIN = 1.5
 # Wide-event request-log schema (src/serve/server.cpp request_event).
-REQLOG_STR_FIELDS = ("event", "op", "model", "outcome", "code", "precision")
+REQLOG_STR_FIELDS = ("event", "op", "model", "outcome", "code")
 REQLOG_NUM_FIELDS = ("ts_ms", "id", "seed", "count", "steps", "eta",
                      "queue_ms", "run_ms", "e2e_ms", "step_batches",
                      "batch_peak", "target_w", "target_h", "windows",
@@ -80,8 +74,6 @@ def validate_bench_line(doc):
         errs.append("gflops must be a non-negative number")
     if "isa" in doc and doc["isa"] not in ISAS:
         errs.append(f"isa must be one of {list(ISAS)}")
-    if "precision" in doc and doc["precision"] not in PRECISIONS:
-        errs.append(f"precision must be one of {list(PRECISIONS)}")
     if doc.get("bench") == "expand_ab":
         missing = EXPAND_AB_REQUIRED - set(doc)
         if missing:
@@ -117,63 +109,6 @@ def validate_bench_line(doc):
     return errs
 
 
-def int8_speedup_errors(docs):
-    """Cross-line perf gate over one bench log: every gemm_i8_<shape>_<isa>
-    line on a vector isa must show >= INT8_SPEEDUP_MIN x the GFLOP/s of its
-    fp32 sibling gemm_<shape>_<isa> line. Logs without quantized lines (or
-    without the fp32 baseline) pass vacuously, so non-kernel benches are
-    unaffected."""
-    fp32, int8 = {}, {}
-    for doc in docs:
-        bench = doc.get("bench")
-        if not isinstance(bench, str) or not _num(doc.get("gflops")):
-            continue
-        if bench.startswith("gemm_i8_"):
-            int8[bench[len("gemm_i8_"):]] = doc["gflops"]
-        elif bench.startswith("gemm_") and not bench.startswith("gemm_bf16_"):
-            fp32[bench[len("gemm_"):]] = doc["gflops"]
-    errs = []
-    for key, q in sorted(int8.items()):
-        isa = key.rsplit("_", 1)[-1]
-        if isa not in VECTOR_ISAS or key not in fp32:
-            continue
-        base = fp32[key]
-        if base > 0 and q < INT8_SPEEDUP_MIN * base:
-            errs.append(
-                f"gemm_i8_{key} is only {q / base:.2f}x fp32 "
-                f"({q:.1f} vs {base:.1f} GFLOP/s), need >= "
-                f"{INT8_SPEEDUP_MIN}x on {isa}")
-    return errs
-
-
-def reqlog_cross_precision_errors(events):
-    """Cross-line cache check over one request log: the generation cache is
-    keyed on precision, so a cached replay whose request tuple was only
-    ever generated under a DIFFERENT precision is a cache-key bug. events
-    is a list of (lineno, doc) pairs in file order. Hits whose origin is
-    not in this log at all are left alone (the log may start mid-run)."""
-    key_fields = ("op", "model", "seed", "count", "steps", "eta")
-    generated = {}  # request tuple -> set of precisions that generated it
-    errs = []
-    for lineno, doc in events:
-        prec = doc.get("precision")
-        if not isinstance(prec, str) or not all(
-                k in doc and not isinstance(doc[k], (dict, list))
-                for k in key_fields):
-            continue
-        key = tuple(doc[k] for k in key_fields)
-        if doc.get("cached") is True:
-            seen = generated.get(key)
-            if seen and prec not in seen:
-                errs.append(
-                    f"line {lineno}: cache hit crosses precision tiers "
-                    f"(served '{prec}' from a cache entry generated under "
-                    f"{sorted(seen)})")
-        elif doc.get("outcome") == "ok":
-            generated.setdefault(key, set()).add(prec)
-    return errs
-
-
 def validate_request_event(doc):
     """Validates one wide-event request-log line (serve.request schema)."""
     errs = []
@@ -192,13 +127,6 @@ def validate_request_event(doc):
     if (isinstance(doc.get("outcome"), str)
             and doc["outcome"] not in REQLOG_OUTCOMES):
         errs.append(f"outcome must be one of {list(REQLOG_OUTCOMES)}")
-    # Rejected lines may carry the raw (invalid) precision string the
-    # admission check refused — that's the evidence. Everything that ran
-    # must name a real tier.
-    if (isinstance(doc.get("precision"), str)
-            and doc.get("outcome") != "rejected"
-            and doc["precision"] not in PRECISIONS):
-        errs.append(f"precision must be one of {list(PRECISIONS)}")
     if not isinstance(doc.get("joined_running"), bool):
         errs.append("joined_running must be a bool")
     if not isinstance(doc.get("cached"), bool):
@@ -212,7 +140,6 @@ def validate_request_event(doc):
 def check_bench_log(path):
     errs = []
     lines = 0
-    docs = []
     try:
         with open(path) as f:
             for lineno, raw in enumerate(f, 1):
@@ -224,20 +151,17 @@ def check_bench_log(path):
                 except json.JSONDecodeError as e:
                     errs.append(f"{path}:{lineno}: {e}")
                     continue
-                docs.append(doc)
                 errs += [f"{path}:{lineno}: {e}" for e in validate_bench_line(doc)]
     except OSError as e:
         return [f"{path}: {e}"]
     if lines == 0:
         errs.append(f"{path}: no '{{\"bench\"' summary lines found")
-    errs += [f"{path}: {e}" for e in int8_speedup_errors(docs)]
     return errs
 
 
 def check_request_log(path):
     errs = []
     lines = 0
-    events = []
     try:
         with open(path) as f:
             for lineno, raw in enumerate(f, 1):
@@ -249,14 +173,12 @@ def check_request_log(path):
                 except json.JSONDecodeError as e:
                     errs.append(f"{path}:{lineno}: {e}")
                     continue
-                events.append((lineno, doc))
                 errs += [f"{path}:{lineno}: {e}"
                          for e in validate_request_event(doc)]
     except OSError as e:
         return [f"{path}: {e}"]
     if lines == 0:
         errs.append(f"{path}: request log is empty")
-    errs += [f"{path}: {e}" for e in reqlog_cross_precision_errors(events)]
     return errs
 
 
@@ -269,11 +191,7 @@ def selfcheck():
         {"bench": "conv_stem_32px_gemm_scalar", "ms": 1.5, "gflops": 4.1,
          "isa": "scalar"},
         {"bench": "gemm_mid_32px_avx512", "ms": 0.2, "gflops": 30.1,
-         "isa": "avx512", "precision": "fp32"},
-        {"bench": "gemm_i8_mid_32px_avx512", "ms": 0.1, "gflops": 58.7,
-         "isa": "avx512", "precision": "int8"},
-        {"bench": "gemm_bf16_mid_32px_avx512", "ms": 0.3, "gflops": 22.0,
-         "isa": "avx512", "precision": "bf16"},
+         "isa": "avx512"},
         # Wide host: the >= 2x wavefront gate applies and is satisfied.
         {"bench": "expand_ab", "ms": 300.0, "sequential_ms": 900.0,
          "speedup": 3.0, "bitwise_identical": 1, "windows": 529,
@@ -297,7 +215,6 @@ def selfcheck():
         {"bench": "x", "ms": 1, "gflops": -2.0},
         {"bench": "x", "ms": 1, "gflops": "fast"},
         {"bench": "x", "ms": 1, "isa": "sse9"},
-        {"bench": "x", "ms": 1, "precision": "int4"},
         # Expand lines: a diverged canvas, a wide host below the 2x floor,
         # an undersized acceptance canvas, and missing accounting fields
         # are all failures.
@@ -323,28 +240,28 @@ def selfcheck():
     good_events = [
         {"event": "serve.request", "ts_ms": 12.5, "id": 7, "op": "sample",
          "model": "bench", "seed": 7, "count": 1, "steps": 4, "eta": -1.0,
-         "outcome": "ok", "code": "none", "precision": "fp32",
+         "outcome": "ok", "code": "none",
          "queue_ms": 0.4, "run_ms": 3.1,
          "e2e_ms": 3.6, "step_batches": 4, "batch_peak": 2,
          "target_w": 0, "target_h": 0, "windows": 0, "waves": 0,
          "joined_running": True, "cached": False},
         {"event": "serve.request", "ts_ms": 14.0, "id": 9, "op": "sample",
          "model": "bench", "seed": 7, "count": 1, "steps": 4, "eta": -1.0,
-         "outcome": "ok", "code": "none", "precision": "fp32",
+         "outcome": "ok", "code": "none",
          "queue_ms": 0.0, "run_ms": 0.0,
          "e2e_ms": 0.1, "step_batches": 0, "batch_peak": 0,
          "target_w": 0, "target_h": 0, "windows": 0, "waves": 0,
          "joined_running": False, "cached": True},
         {"event": "serve.request", "ts_ms": 13.0, "id": 8, "op": "inpaint",
          "model": "bench", "seed": 8, "count": 2, "steps": 0, "eta": 0.5,
-         "outcome": "rejected", "code": "queue_full", "precision": "fp64",
+         "outcome": "rejected", "code": "queue_full",
          "queue_ms": 0.0,
          "run_ms": 0.0, "e2e_ms": 0.0, "step_batches": 0, "batch_peak": 0,
          "target_w": 0, "target_h": 0, "windows": 0, "waves": 0,
          "joined_running": False, "cached": False},
         {"event": "serve.request", "ts_ms": 15.0, "id": 10, "op": "expand",
          "model": "bench", "seed": 11, "count": 1, "steps": 2, "eta": -1.0,
-         "outcome": "ok", "code": "none", "precision": "fp32",
+         "outcome": "ok", "code": "none",
          "queue_ms": 0.2, "run_ms": 45.0,
          "e2e_ms": 45.3, "step_batches": 6, "batch_peak": 3,
          "target_w": 48, "target_h": 32, "windows": 15, "waves": 7,
@@ -363,35 +280,6 @@ def selfcheck():
         {k: v for k, v in good_events[0].items() if k != "windows"},
         {k: v for k, v in good_events[3].items() if k != "target_w"},
         {k: v for k, v in good_events[0].items() if k != "cached"},
-        {k: v for k, v in good_events[0].items() if k != "precision"},
-        {**good_events[0], "precision": "fp16"},
-    ]
-
-    # Cross-line cache check: a hit must replay the precision tier that
-    # generated the entry. The bad log serves an int8 hit from a tuple only
-    # ever generated under fp32 — exactly what the precision-keyed cache is
-    # supposed to make impossible.
-    int8_hit = {**good_events[1], "precision": "int8"}
-    good_reqlog = [(1, good_events[0]), (2, good_events[1])]
-    bad_reqlog = [(1, good_events[0]), (2, int8_hit)]
-
-    # Cross-line bench gate: int8 >= 1.5x fp32 on the same vector isa;
-    # scalar int8 is exempt (bitwise reference tier, not a fast path).
-    gate_good = [
-        {"bench": "gemm_mid_32px_avx2", "ms": 1.0, "gflops": 20.0,
-         "isa": "avx2"},
-        {"bench": "gemm_i8_mid_32px_avx2", "ms": 0.5, "gflops": 40.0,
-         "isa": "avx2", "precision": "int8"},
-        {"bench": "gemm_mid_32px_scalar", "ms": 4.0, "gflops": 5.0,
-         "isa": "scalar"},
-        {"bench": "gemm_i8_mid_32px_scalar", "ms": 10.0, "gflops": 2.0,
-         "isa": "scalar", "precision": "int8"},
-    ]
-    gate_bad = [
-        {"bench": "gemm_mid_32px_avx512", "ms": 1.0, "gflops": 30.0,
-         "isa": "avx512"},
-        {"bench": "gemm_i8_mid_32px_avx512", "ms": 0.9, "gflops": 33.0,
-         "isa": "avx512", "precision": "int8"},
     ]
 
     failures = []
@@ -408,15 +296,6 @@ def selfcheck():
     for i, doc in enumerate(bad_events):
         if not validate_request_event(doc):
             failures.append(f"bad event #{i} accepted")
-    if reqlog_cross_precision_errors(good_reqlog):
-        failures.append("same-precision cache hit rejected")
-    if not reqlog_cross_precision_errors(bad_reqlog):
-        failures.append("cross-precision cache hit accepted")
-    if int8_speedup_errors(gate_good):
-        failures.append(
-            f"good int8 speedup rejected: {int8_speedup_errors(gate_good)}")
-    if not int8_speedup_errors(gate_bad):
-        failures.append("sub-1.5x int8 speedup accepted")
 
     for msg in failures:
         print(f"selfcheck FAIL: {msg}", file=sys.stderr)

@@ -21,8 +21,8 @@ export UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}
 # One tier-1 pass pinned to each kernel tier this build can actually run
 # on this host (ppaint_cli isas: scalar always, avx2/avx512 when compiled
 # in AND supported by cpuid), then one under native dispatch. Every kernel
-# set — including the AVX-512 and quantized int8 microkernels — gets
-# sanitizer coverage, and hosts without the wide tiers skip them cleanly.
+# set — including the AVX-512 microkernels — gets sanitizer coverage, and
+# hosts without the wide tiers skip them cleanly.
 for isa in $("$BUILD_DIR"/examples/ppaint_cli isas); do
   echo "=== tier-1 under PP_FORCE_ISA=$isa ==="
   PP_FORCE_ISA="$isa" ctest --test-dir "$BUILD_DIR" -L tier1 \
@@ -41,12 +41,10 @@ echo "=== serve pipe round-trip ==="
 echo "serve round-trip OK"
 
 # Continuous-batching round-trip: a canned NDJSON session with mixed
-# per-request sampler schedules (steps 2 / default / 8, mixed eta) AND
-# mixed precision tiers (the int8 request runs the quantized GEMM path
-# through the same executor), plus an out-of-domain steps knob and an
-# unknown precision value that must both come back as structured
-# bad_request — all under the sanitizers, where a stale pointer in the
-# latent re-pack or an OOB in the quantized panel packing would burn.
+# per-request sampler schedules (steps 2 / default / 8, mixed eta), plus
+# an out-of-domain steps knob and a precision other than fp32 that must
+# both come back as structured bad_request — all under the sanitizers,
+# where a stale pointer in the latent re-pack would burn.
 # The metrics/health ops are sent mid-load (between generation requests)
 # so the rolling-window scrape path runs concurrently with the executor.
 echo "=== serve continuous-batching round-trip ==="
@@ -59,8 +57,8 @@ cont_out=$("$BUILD_DIR"/examples/ppaint_serve pipe --request-log "$reqlog" <<'ND
 {"id":4,"op":"sample","model":"cb","seed":13,"count":1}
 {"id":8,"op":"health"}
 {"id":5,"op":"sample","model":"cb","seed":14,"steps":1}
-{"id":9,"op":"sample","model":"cb","seed":15,"count":1,"steps":2,"precision":"int8"}
-{"id":10,"op":"sample","model":"cb","seed":15,"count":1,"steps":2,"precision":"fp64"}
+{"id":9,"op":"sample","model":"cb","seed":15,"count":1,"steps":2}
+{"id":10,"op":"sample","model":"cb","seed":15,"count":1,"steps":2,"precision":"int8"}
 {"id":6,"op":"shutdown"}
 NDJSON
 )
@@ -78,19 +76,18 @@ if [ "$ok_count" -lt 7 ]; then  # load ack + 4 generations + metrics + health
   echo "$cont_out" >&2
   exit 1
 fi
-# The wide-event request log must account for all 6 generation requests
-# (4 ok + bad-steps reject + bad-precision reject) and schema-validate —
-# including the required per-request precision field and the
-# cross-precision cache-hit check.
-python3 scripts/check_bench_json.py --request-log "$reqlog"
-reqlog_lines=$(grep -c . "$reqlog")
-if [ "$reqlog_lines" -ne 6 ]; then
-  echo "request log: expected 6 lines, got $reqlog_lines:" >&2
-  cat "$reqlog" >&2
+if ! grep -F '"id":10,' <<<"$cont_out" | grep -qF '"code":"bad_request"'; then
+  echo "continuous round-trip: int8 request not refused as bad_request:" >&2
+  echo "$cont_out" >&2
   exit 1
 fi
-if ! grep -qF '"precision":"int8"' "$reqlog"; then
-  echo "request log: int8 request not logged with its precision:" >&2
+# The wide-event request log must account for the 5 generation requests
+# that reached admission (4 ok + the bad-steps reject) and schema-validate.
+# The int8 line is refused by the parser, so it never reaches the log.
+python3 scripts/check_bench_json.py --request-log "$reqlog"
+reqlog_lines=$(grep -c . "$reqlog")
+if [ "$reqlog_lines" -ne 5 ]; then
+  echo "request log: expected 5 lines, got $reqlog_lines:" >&2
   cat "$reqlog" >&2
   exit 1
 fi
@@ -178,15 +175,7 @@ assert cold["ok"] and warm["ok"], (cold, warm)
 assert not cold["cached"] and warm["cached"], (cold["cached"], warm["cached"])
 assert cold["patterns"] == warm["patterns"], "cache hit not byte-identical"
 assert cold["legal"] == warm["legal"]
-# Precision is part of the cache key: the identical request on the int8
-# tier must MISS (generate fresh), and its own replay must then hit.
-q_cold = rpc({**req, "id": 4, "precision": "int8"})
-q_warm = rpc({**req, "id": 5, "precision": "int8"})
-assert q_cold["ok"] and q_warm["ok"], (q_cold, q_warm)
-assert not q_cold["cached"], "cache hit crossed precision tiers"
-assert q_warm["cached"], "int8 replay missed its own cache entry"
-assert q_cold["patterns"] == q_warm["patterns"]
-rpc({"id": 6, "op": "shutdown"})
+rpc({"id": 4, "op": "shutdown"})
 PY
 wait "$serve_pid"
 rm -f "$tcp_portfile"

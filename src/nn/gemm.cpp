@@ -32,16 +32,11 @@ void note_fused_epilogue() {
   c.add(1);
 }
 
-void note_quantized_gemm() {
-  static obs::Counter& c = obs::metrics().counter("nn.gemm.quantized");
-  c.add(1);
-}
-
 // Runs inside the same chunk that produced rows [lo, hi), so the epilogue
 // touches cache-hot data. Row i's arithmetic depends only on row i —
 // chunk boundaries never change results. Dequantization goes first: it
-// turns raw int32-as-float dot products into real values before bias and
-// activation see them.
+// turns raw int32-as-float dot products into real values before the bias
+// is added.
 void apply_epilogue_rows(const detail::KernelTable& kt,
                          const GemmEpilogue& epi, std::size_t lo,
                          std::size_t hi, int N, float* C, int ldc) {
@@ -56,7 +51,6 @@ void apply_epilogue_rows(const detail::KernelTable& kt,
       if (b != 0.0f) kt.add_const(row, b, n);
     }
     if (epi.bias_per_col) kt.add(row, epi.bias_per_col, n);
-    detail::apply_act(kt, epi.act, row, n);
   }
 }
 
@@ -174,7 +168,6 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
                  "quantized GEMM requires a dequantizing epilogue");
   const detail::KernelTable& kt = detail::active_kernels();
   note_fused_epilogue();
-  note_quantized_gemm();
   Workspace& ws = Workspace::tls();
   WorkspaceScope scope(ws);
   const std::int16_t* bp = B;
@@ -187,12 +180,11 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
   }
   // Dequantization is fused into the kernel's register-level store (same
   // one-multiply-per-term arithmetic as a separate pass, so results are
-  // bit-identical); the row pass only runs when bias/activation remain.
+  // bit-identical); the row pass only runs when a bias remains.
   GemmEpilogue rest = *epilogue;
   rest.dequant_row = nullptr;
   rest.dequant_col = nullptr;
-  const bool post =
-      rest.bias || rest.bias_per_col || rest.act != Act::kNone;
+  const bool post = rest.bias || rest.bias_per_col;
   rows_parallel(M, [&](std::size_t lo, std::size_t hi) {
     kt.gemm_i8_nt(lo, hi, N, K, A, lda, bp, C, ldc, epilogue->dequant_row,
                   epilogue->dequant_col, epilogue->dequant_scale);

@@ -9,8 +9,8 @@
 // the chunking, so results are bitwise identical for any PP_THREADS.
 // `accumulate` selects C += A*B vs C = A*B.
 //
-// A GemmEpilogue fuses the caller's usual post-GEMM pass (bias add and/or
-// activation) into the row chunk that just produced those rows, while the
+// A GemmEpilogue fuses the caller's usual post-GEMM pass (dequantization
+// and bias add) into the row chunk that just produced those rows, while the
 // data is still cache-hot. The epilogue runs the same dispatched
 // value-pure kernels a separate full-tensor pass would, so fused and
 // unfused results are bit-identical on a fixed ISA.
@@ -37,16 +37,14 @@ namespace pp::nn {
 /// under any thread chunking.
 ///
 /// Then `bias` adds bias[i] to every element of row i (conv layout; zero
-/// entries are skipped exactly like the unfused path), `bias_per_col` adds
-/// bias_per_col[j] to column j (linear layout), and `act` applies an
-/// activation in place.
+/// entries are skipped exactly like the unfused path) and `bias_per_col`
+/// adds bias_per_col[j] to column j (linear layout).
 struct GemmEpilogue {
   const float* dequant_row = nullptr;
   const float* dequant_col = nullptr;
   float dequant_scale = 1.0f;
   const float* bias = nullptr;
   const float* bias_per_col = nullptr;
-  Act act = Act::kNone;
 };
 
 /// C{M,N} (+)= A{M,K} * B{K,N}
@@ -75,7 +73,7 @@ void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
                  const GemmEpilogue* epilogue = nullptr);
 
 /// Storage order of the B operand handed to sgemm_i8_nt. kNT is B{N,K}
-/// row-major (weights as the registry stores them); kKN is B{K,N}
+/// row-major (weights as QuantizedModelWeights stores them); kKN is B{K,N}
 /// row-major (a quantized im2col panel, no pre-transpose needed); kPacked
 /// means the caller already ran pack_i8_b (static weights pack once, not
 /// per call) and ldb is ignored.
@@ -107,7 +105,7 @@ void pack_i8_b(const std::int16_t* B, int N, int K, I8Layout layout, int ldb,
 /// the caller (kPacked). Each C[i][j] is computed as the EXACT int32 dot
 /// product (bitwise stable under any chunking), then dequantized at the
 /// register-level store via the mandatory epilogue's dequant_row /
-/// dequant_col; bias/activation follow as a fused row pass. No accumulate
+/// dequant_col; the bias follows as a fused row pass. No accumulate
 /// form: quantized GEMMs always overwrite.
 void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
                  const std::int16_t* B, int ldb, float* C, int ldc,

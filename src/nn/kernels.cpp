@@ -223,7 +223,7 @@ bool conv2d_use_gemm(int co, int ci, int kh, int kw, int ho, int wo) {
 }
 
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      int stride, int pad, ConvAlgo algo, Act act) {
+                      int stride, int pad, ConvAlgo algo) {
   static obs::Counter& gemm_dispatches =
       obs::metrics().counter("nn.conv2d.dispatch.gemm");
   static obs::Counter& implicit_dispatches =
@@ -237,7 +237,6 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
     direct_dispatches.add(1);
     conv_forward_direct(d, stride, pad, x.data(), w.data(), b.data(),
                         out.data());
-    detail::apply_act(detail::active_kernels(), act, out.data(), out.numel());
     return out;
   }
   const Precision prec = active_precision();
@@ -259,18 +258,17 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   float* col = pointwise || implicit
                    ? nullptr
                    : ws.alloc(static_cast<std::size_t>(K2) * P);
-  // Bias (one value per output-channel row) and activation run as a fused
-  // epilogue on each row chunk right after the GEMM writes it.
+  // Bias (one value per output-channel row) runs as a fused epilogue on
+  // each row chunk right after the GEMM writes it.
   GemmEpilogue epi;
   epi.bias = b.data();
-  epi.act = act;
   if (int8) {
     // C{Co,P} = Wq{Co,K2} · Colq{K2,P} over int8-range int16 lanes:
     // weights were quantized per output channel at load time, activations
     // are quantized per tensor here with a dynamic scale. The quantized
     // panel stays in im2col's natural {K2, P} order — sgemm_i8_nt
     // pair-packs it directly (I8Layout::kKN), no transpose pass. The
-    // epilogue dequantizes each row by scales[co]·a_scale, then bias+act.
+    // epilogue dequantizes each row by scales[co]·a_scale, then adds bias.
     std::int16_t* qpanel = alloc_i16(ws, static_cast<std::size_t>(K2) * P);
     epi.dequant_row = qw->scales.data();
     for (int n = 0; n < d.N; ++n) {
@@ -394,8 +392,7 @@ void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
   }
 }
 
-Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      Act act) {
+Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b) {
   PP_REQUIRE_MSG(x.ndim() == 2 && w.ndim() == 2 && b.ndim() == 1,
                  "linear: expected x{N,I} w{O,I} b{O}");
   const int N = x.dim(0), I = x.dim(1), O = w.dim(0);
@@ -403,7 +400,6 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   Tensor out({N, O});
   GemmEpilogue epi;
   epi.bias_per_col = b.data();
-  epi.act = act;
   const Precision prec = active_precision();
   auto qw = quant_lookup(w.data(), prec);
   if (qw && prec == Precision::kInt8) {

@@ -28,7 +28,6 @@
 #include <functional>
 #include <vector>
 
-#include "nn/simd.hpp"
 #include "nn/tensor.hpp"
 
 namespace pp::nn {
@@ -46,11 +45,10 @@ enum class ConvAlgo { kAuto, kDirect, kGemm };
 bool conv2d_use_gemm(int co, int ci, int kh, int kw, int ho, int wo);
 
 /// x{N,Ci,H,W} conv w{Co,Ci,Kh,Kw} + b{Co} -> {N,Co,Ho,Wo}. Validates
-/// shapes (pp::Error on mismatch). `act` fuses an activation into the GEMM
+/// shapes (pp::Error on mismatch). The bias add is fused into the GEMM
 /// epilogue (bit-identical to a separate pass on the same ISA).
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      int stride, int pad, ConvAlgo algo = ConvAlgo::kAuto,
-                      Act act = Act::kNone);
+                      int stride, int pad, ConvAlgo algo = ConvAlgo::kAuto);
 
 /// Accumulates d(loss)/d(bias) into gb{Co} given gout{N,Co,Ho,Wo}.
 void conv2d_grad_bias(const Tensor& gout, Tensor& gb);
@@ -63,10 +61,9 @@ void conv2d_grad_weight(const Tensor& x, const Tensor& gout, Tensor& gw,
 void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
                        int stride, int pad, ConvAlgo algo = ConvAlgo::kAuto);
 
-/// x{N,I} * w{O,I}^T + b{O} -> {N,O} (SGEMM-NT backed; bias and `act` are
+/// x{N,I} * w{O,I}^T + b{O} -> {N,O} (SGEMM-NT backed; the bias add is
 /// fused into the GEMM epilogue).
-Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      Act act = Act::kNone);
+Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b);
 
 /// GroupNorm forward; when mean/inv_std are non-null they receive the
 /// per-(sample,group) statistics needed by the backward pass.

@@ -82,17 +82,6 @@ const char* precision_name(Precision p) {
   return "fp32";
 }
 
-bool parse_precision(const std::string& name, Precision* out) {
-  for (Precision p :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
-    if (name == precision_name(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 Precision active_precision() { return t_precision; }
 
 ScopedPrecision::ScopedPrecision(Precision p) : prev_(t_precision) {
@@ -132,10 +121,6 @@ QuantizedModelWeights::QuantizedModelWeights(const std::vector<Var>& params) {
       s.map[t.data()] = qw;
     }
     keys_.push_back(t.data());
-    ++tensors_;
-    bytes_fp32_ += t.numel() * sizeof(float);
-    bytes_quantized_ += t.numel() * sizeof(std::int16_t) +
-                        static_cast<std::size_t>(qw->rows) * sizeof(float);
   }
 }
 

@@ -1,8 +1,8 @@
 // Reduced-precision inference tier (see DESIGN.md "Quantized kernel
 // tier").
 //
-// Weights are quantized ONCE, at checkpoint-load time, by registering a
-// model's parameters in a QuantizedModelWeights. Two renderings are built
+// Weights are quantized ONCE, when a model's parameters are registered in
+// a QuantizedModelWeights. Two renderings are built
 // per 2-D/4-D weight tensor:
 //
 //   * int8: per-output-channel symmetric quantization. Row r (output
@@ -24,16 +24,15 @@
 //
 // Which precision a forward pass uses is a thread-local knob
 // (active_precision/ScopedPrecision) read by conv2d_forward and
-// linear_forward on the calling thread; the serve layer pins it per
-// request. Tensors that were never registered (or 1-D biases, which stay
+// linear_forward on the calling thread. The product serves fp32 only; the
+// reduced tiers are measured by the benchmark's kernel phase and by
+// simd_test. Tensors that were never registered (or 1-D biases, which stay
 // fp32 by design) silently fall back to the fp32 path and bump the
 // "nn.quant.fallback" counter.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/autograd.hpp"
@@ -47,16 +46,10 @@ enum class Precision { kFp32, kBf16, kInt8 };
 /// "fp32", "bf16" or "int8".
 const char* precision_name(Precision p);
 
-/// Parses a precision name as accepted by the serve-layer `precision`
-/// knob. Returns false (out untouched) on unknown names — admission wants
-/// a bad_request, not an exception.
-bool parse_precision(const std::string& name, Precision* out);
-
 /// The precision tier conv2d_forward/linear_forward dispatch on for THIS
-/// thread. Defaults to kFp32. The knob is thread-local because the serve
-/// executors pin it per request on the thread that drives the forward pass
-/// (worker-pool threads only run pre-captured row chunks, so they never
-/// consult it).
+/// thread. Defaults to kFp32. The knob is thread-local so a pin covers only
+/// the thread that drives the forward pass (worker-pool threads only run
+/// pre-captured row chunks, so they never consult it).
 Precision active_precision();
 
 /// RAII pin of the calling thread's precision tier; restores the previous
@@ -94,8 +87,8 @@ void note_quant_fallback();
 
 /// RAII registrar: quantizes every 2-D/4-D parameter of a model (pure
 /// scalar, once) and publishes the tables for kernel-layer lookup;
-/// unregisters on destruction. Held by the serve ModelRegistry entry so
-/// the tables live exactly as long as the checkpoint they were built from.
+/// unregisters on destruction, so the tables must not outlive the weights
+/// they were built from.
 class QuantizedModelWeights {
  public:
   explicit QuantizedModelWeights(const std::vector<Var>& params);
@@ -103,21 +96,8 @@ class QuantizedModelWeights {
   QuantizedModelWeights(const QuantizedModelWeights&) = delete;
   QuantizedModelWeights& operator=(const QuantizedModelWeights&) = delete;
 
-  /// Number of weight tensors quantized (1-D biases are skipped).
-  int tensors() const { return tensors_; }
-  /// fp32 bytes of the quantized tensors.
-  std::size_t bytes_fp32() const { return bytes_fp32_; }
-  /// Working-set bytes of one reduced tier: 2 B/value (int16 lanes for
-  /// int8, bf16 halves) plus the int8 per-row scales.
-  std::size_t bytes_quantized() const { return bytes_quantized_; }
-  /// Bandwidth/footprint saved when a request runs a reduced tier.
-  std::size_t bytes_saved() const { return bytes_fp32_ - bytes_quantized_; }
-
  private:
   std::vector<const float*> keys_;
-  int tensors_ = 0;
-  std::size_t bytes_fp32_ = 0;
-  std::size_t bytes_quantized_ = 0;
 };
 
 }  // namespace pp::nn

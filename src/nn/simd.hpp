@@ -30,9 +30,6 @@ namespace pp::nn {
 
 enum class Isa { kScalar, kAvx2, kAvx512 };
 
-/// Activation applied by fused GEMM epilogues (and conv/linear forward).
-enum class Act { kNone, kSilu, kRelu };
-
 /// The ISA every dispatched kernel currently runs. Resolved from
 /// PP_FORCE_ISA / cpuid on first call; after that it only changes through
 /// force_isa/clear_forced_isa.

@@ -10,7 +10,7 @@
 //     vector-width boundaries (vector tiers handle tails with masked
 //     loads, never a differently-rounded scalar loop). This is what lets
 //     fused GEMM epilogues produce bit-identical results to a separate
-//     full-tensor activation pass.
+//     full-tensor bias pass.
 //
 // The quantized entries extend both contracts: gemm_i8_nt accumulates in
 // exact int32 (so ANY chunking or k-tail split is bitwise identical by
@@ -108,12 +108,5 @@ const KernelTable* avx512_kernels();
 
 /// Table for active_isa().
 const KernelTable& active_kernels();
-
-/// In-place activation via the given table (kNone is a no-op).
-inline void apply_act(const KernelTable& kt, Act act, float* p,
-                      std::size_t n) {
-  if (act == Act::kSilu) kt.silu(p, p, n);
-  else if (act == Act::kRelu) kt.relu(p, p, n);
-}
 
 }  // namespace pp::nn::detail

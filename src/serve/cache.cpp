@@ -56,10 +56,6 @@ std::string generation_cache_key(const GenRequest& req,
   char eta[40];
   std::snprintf(eta, sizeof(eta), "%.17g|", req.eta);
   key += eta;
-  // Precision is part of the identity: an int8 result is NOT the fp32
-  // result, so cache hits must never cross tiers.
-  key += req.precision;
-  key += '|';
   if (req.op == GenRequest::Op::kInpaint) {
     append_u64(key, req.tmpl.hash());
     append_u64(key, raster_hash2(req.tmpl));

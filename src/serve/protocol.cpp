@@ -85,10 +85,6 @@ bool whole_in(double d, double lo, double hi) {
   return d >= lo && d <= hi && d == std::floor(d);
 }
 
-/// 2^53 - 1: every integer up to here has its own double. Above it a wire
-/// number can stand for two integers, so a seed or id could silently change.
-constexpr double kMaxExactU64 = 9007199254740991.0;
-
 }  // namespace
 
 bool get_u64(const obs::Json& j, const char* key, std::uint64_t fallback,
@@ -98,7 +94,8 @@ bool get_u64(const obs::Json& j, const char* key, std::uint64_t fallback,
     *out = fallback;
     return true;
   }
-  if (!f->is_number() || !whole_in(f->as_number(), 0, kMaxExactU64))
+  if (!f->is_number() ||
+      !whole_in(f->as_number(), 0, static_cast<double>(kMaxWireU64)))
     return false;
   *out = static_cast<std::uint64_t>(f->as_number());
   return true;
@@ -181,8 +178,8 @@ bool gen_request_from_json(const obs::Json& j, GenRequest* out,
       (j.find("eta") && !(out->eta >= 0.0 && out->eta <= 1.0)))
     return fail("eta must be a number in [0, 1]");
   const obs::Json* pf = j.find("precision");
-  if (pf && !pf->is_string()) return fail("precision must be a string");
-  out->precision = get_string(j, "precision", "fp32");
+  if (pf && !(pf->is_string() && pf->as_string() == "fp32"))
+    return fail("precision: only \"fp32\" is served");
   if (out->op == GenRequest::Op::kExpand) {
     if (!get_int(j, "target_w", 0, &out->target_w) ||
         !get_int(j, "target_h", 0, &out->target_h))

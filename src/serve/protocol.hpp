@@ -8,12 +8,12 @@
 //             "clip", "rules", "checkpoint", "timesteps", "sample_steps",
 //             "eta", "base_channels", "time_dim", "seed"}
 //   sample   {"id", "op":"sample", "model", "seed", "count", "finish",
-//             "deadline_ms", "steps", "eta", "precision"}
+//             "deadline_ms", "steps", "eta"}
 //   inpaint  {"id", "op":"inpaint", "model", "seed", "count", "finish",
-//             "deadline_ms", "steps", "eta", "precision",
+//             "deadline_ms", "steps", "eta",
 //             "template":<ascii>, "mask":<ascii>|"mask_id":k}
 //   expand   {"id", "op":"expand", "model", "seed", "target_w", "target_h",
-//             "finish", "deadline_ms", "steps", "eta", "precision",
+//             "finish", "deadline_ms", "steps", "eta",
 //             "seed_raster":<ascii> (optional, placed top-left)}
 //            -> one arbitrary-size canvas grown by wavefront tiled
 //            outpainting: the target decomposes into overlapping clip-sized
@@ -36,9 +36,10 @@
 // "steps" / "eta" are per-request sampler knobs (quality-vs-latency): the
 // strided denoising step count in [2, model T] (0 / absent = model default)
 // and the DDIM stochasticity in [0, 1] (absent = model default).
-// "precision" selects the inference tier: "fp32" (default), "bf16" or
-// "int8" (quantized weights built at model load). Out-of-domain values for
-// any knob are rejected at admission as "bad_request".
+// Out-of-domain values for any knob are rejected at admission as
+// "bad_request". Inference is fp32 only: an old client's "precision" field
+// parses when it is absent or "fp32", and any other value is a
+// "bad_request".
 //   cancel   {"id", "op":"cancel", "target":<id>}
 //   ping / stats / shutdown {"id", "op":...}
 //   metrics  {"id", "op":"metrics"} -> {"metrics": {"snapshot", "uptime_ms",
@@ -106,9 +107,6 @@ struct GenRequest {
                              ///< admission ("bad_request" on the wire).
   double eta = -1.0;         ///< DDIM stochasticity override in [0, 1];
                              ///< negative = model default
-  std::string precision = "fp32";  ///< inference tier: fp32|bf16|int8.
-                                   ///< Validated at admission; part of the
-                                   ///< cache key, so hits never cross tiers
   Raster tmpl;               ///< inpaint: template pattern; expand: the
                              ///< optional seed raster (placed top-left)
   Raster mask;               ///< inpaint only: 1 = region to regenerate
@@ -154,9 +152,14 @@ bool gen_request_from_json(const obs::Json& j, GenRequest* out,
 obs::Json raster_to_json(const Raster& r);
 bool raster_from_json(const obs::Json& j, Raster* out);
 
+/// 2^53 - 1: every integer up to here has its own double. Above it a wire
+/// number can stand for two integers, so a seed or id could silently change.
+constexpr std::uint64_t kMaxWireU64 = (std::uint64_t{1} << 53) - 1;
+
 /// Field helpers shared by the transport (strict: wrong type = error).
-/// get_u64 takes whole numbers in [0, 2^53 - 1] and get_int whole numbers
-/// in int's range; a value outside them is an error, never a wrapped cast.
+/// get_u64 takes whole numbers in [0, kMaxWireU64] and get_int whole
+/// numbers in int's range; a value outside them is an error, never a
+/// wrapped cast.
 bool get_u64(const obs::Json& j, const char* key, std::uint64_t fallback,
              std::uint64_t* out);
 bool get_int(const obs::Json& j, const char* key, int fallback, int* out);

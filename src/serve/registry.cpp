@@ -79,10 +79,6 @@ ModelRegistry::EntryPtr ModelRegistry::load(const ModelSpec& spec) {
   entry->masks = all_masks(entry->cfg.clip_size, entry->cfg.clip_size);
   if (!spec.checkpoint.empty())
     entry->trained = entry->pp->model().try_load(spec.checkpoint);
-  // Quantize once, AFTER the checkpoint settles the weights: builds the
-  // int8 + bf16 tables every reduced-precision request will share.
-  entry->quant = std::make_unique<nn::QuantizedModelWeights>(
-      entry->pp->model().parameters());
 
   std::lock_guard<std::mutex> lk(m_);
   auto it = entries_.find(spec.key);
@@ -126,10 +122,6 @@ obs::Json ModelRegistry::to_json() const {
     o.set("trained", obs::Json(e.trained));
     o.set("generation", obs::Json(e.generation));
     o.set("parameters", obs::Json(e.pp->model().net().parameter_count()));
-    o.set("precisions", obs::Json("fp32,bf16,int8"));
-    o.set("quantized_tensors", obs::Json(e.quant ? e.quant->tensors() : 0));
-    o.set("quant_bytes_saved",
-          obs::Json(e.quant ? e.quant->bytes_saved() : std::size_t{0}));
     arr.push_back(std::move(o));
   }
   return arr;

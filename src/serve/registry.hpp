@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/patternpaint.hpp"
-#include "nn/quant.hpp"
 #include "obs/json.hpp"
 
 namespace pp::serve {
@@ -54,11 +53,6 @@ class ModelRegistry {
     PatternPaintConfig cfg;
     std::unique_ptr<PatternPaint> pp;
     std::vector<Raster> masks;  ///< predefined inpainting masks at clip size
-    /// Reduced-precision weight tables (int8 + bf16), built once right
-    /// after checkpoint load and owned by the entry so they live exactly
-    /// as long as the weights: requests with a `precision` knob other than
-    /// fp32 resolve them through the kernel-layer lookup.
-    std::unique_ptr<nn::QuantizedModelWeights> quant;
     bool trained = false;  ///< checkpoint found and loaded
     int generation = 1;    ///< bumped on each hot-swap of this key
     /// Executor-shard affinity: assigned round-robin at first load of the
@@ -81,8 +75,7 @@ class ModelRegistry {
   std::vector<std::string> keys() const;
 
   /// Registry section of stats dumps: [{key, preset, clip, trained,
-  /// generation, parameters, precisions, quantized_tensors,
-  /// quant_bytes_saved}, ...].
+  /// generation, parameters}, ...].
   obs::Json to_json() const;
 
  private:

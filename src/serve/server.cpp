@@ -10,7 +10,6 @@
 #include "diffusion/convert.hpp"
 #include "expand/expander.hpp"
 #include "diffusion/ddpm.hpp"
-#include "nn/quant.hpp"
 #include "obs/expo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -72,15 +71,6 @@ const char* op_name(GenRequest::Op op) {
 /// response size (the canvas travels as ASCII), far above any clip size.
 constexpr int kMaxExpandEdge = 4096;
 
-/// Resolves a request's precision string (validated at admission) to the
-/// kernel-layer tier; unknown strings cannot reach here, fp32 is the
-/// defensive fallback.
-nn::Precision precision_of(const std::string& name) {
-  nn::Precision p = nn::Precision::kFp32;
-  nn::parse_precision(name, &p);
-  return p;
-}
-
 /// Wide-event outcome taxonomy: every request story ends in exactly one of
 /// ok / rejected (never ran) / timeout / cancelled / error.
 const char* outcome_name(ErrorCode code) {
@@ -117,7 +107,6 @@ obs::Json request_event(const GenRequest& req, ErrorCode code,
   o.set("count", obs::Json(req.count));
   o.set("steps", obs::Json(req.steps));
   o.set("eta", obs::Json(req.eta));
-  o.set("precision", obs::Json(req.precision));
   o.set("outcome", obs::Json(outcome_name(code)));
   o.set("code", obs::Json(error_code_name(code)));
   o.set("queue_ms", obs::Json(queue_ms));
@@ -324,15 +313,6 @@ void GenerationServer::submit(GenRequest req,
            "eta must be in [0, 1], or -1 for the model default");
     return;
   }
-  {
-    nn::Precision prec;
-    if (!nn::parse_precision(req.precision, &prec)) {
-      reject(ErrorCode::kBadRequest,
-             "precision must be 'fp32', 'bf16' or 'int8' (got '" +
-                 req.precision + "')");
-      return;
-    }
-  }
   const int clip = entry->cfg.clip_size;
   if (req.op == GenRequest::Op::kExpand) {
     // Same validator as the library path (expand_request_problem), so the
@@ -527,10 +507,6 @@ void GenerationServer::worker_loop(Shard& sh) {
   constexpr std::uint64_t kTagStride = 1ull << 32;
 
   ModelRegistry::EntryPtr entry;  ///< the running batch's registry entry
-  std::string batch_precision;    ///< fixed by the first joiner: the step's
-                                  ///< forward pass runs ONE weight tier, so
-                                  ///< unlike steps/eta (per-sample schedule)
-                                  ///< precision is a batch property
   InpaintState st;
   std::vector<Member> members;
   std::uint64_t next_mid = 0;
@@ -663,30 +639,22 @@ void GenerationServer::worker_loop(Shard& sh) {
       }
 
       // Join pass (the step boundary): when idle, the first queued request
-      // fixes the batch's registry entry AND precision tier; every queued
-      // compatible request then joins until the sample cap. steps/eta need
-      // NOT match — the sampler schedule is per-sample state, not a batch
-      // property — but precision MUST: the whole step is one forward pass
-      // through one weight table.
-      // Fairness: once the queue head waits on a DIFFERENT entry (or
-      // precision) than the running batch, stop admitting new joins so the
-      // batch drains and the head gets served — otherwise sustained
-      // compatible traffic starves mismatched requests unboundedly.
-      const bool head_blocked =
-          !members.empty() && !sh.queue.empty() &&
-          (sh.queue.front()->entry.get() != entry.get() ||
-           sh.queue.front()->req.precision != batch_precision);
+      // fixes the batch's registry entry; every queued request on the same
+      // entry then joins until the sample cap. steps/eta need NOT match —
+      // the sampler schedule is per-sample state, not a batch property.
+      // Fairness: once the queue head waits on a DIFFERENT entry than the
+      // running batch, stop admitting new joins so the batch drains and the
+      // head gets served — otherwise sustained same-model traffic starves
+      // other models' requests unboundedly.
+      const bool head_blocked = !members.empty() && !sh.queue.empty() &&
+                                sh.queue.front()->entry.get() != entry.get();
       if (!stop_hard_.load() && !head_blocked) {
         int active = st.active();
         for (auto it = sh.queue.begin(); it != sh.queue.end();) {
           const PendingPtr& p = *it;
-          if (!entry) {
-            entry = p->entry;
-            batch_precision = p->req.precision;
-          }
+          if (!entry) entry = p->entry;
           const bool fits = active + p->req.count <= cfg_.max_batch_samples;
-          if (p->entry.get() == entry.get() &&
-              p->req.precision == batch_precision && fits) {
+          if (p->entry.get() == entry.get() && fits) {
             active += p->req.count;
             joined.push_back(p);
             sh.inflight.push_back(p);
@@ -713,10 +681,6 @@ void GenerationServer::worker_loop(Shard& sh) {
         fail_all(ErrorCode::kDraining, "batch abandoned mid-flight");
       break;
     }
-
-    // Every member of the running batch shares one precision tier, so one
-    // guard covers this iteration's joins, step, commits and finish tails.
-    const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
 
     // Execute the joins: derive each request's stream bases per the
     // sequential reference semantics (Rng(seed) -> count gen bases, then

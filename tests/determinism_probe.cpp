@@ -8,9 +8,8 @@
 // A second round pushes coalesced requests through the GenerationServer so
 // the serving layer's micro-batching is held to the same bar: batched
 // output must be a pure function of each request's seed, bitwise invariant
-// across thread counts. Further rounds cover continuous batching with
-// mixed sampler schedules and the reduced-precision tiers (int8/bf16), and
-// a last round trains: its loss bits and parameter hash pin the autograd
+// across thread counts. A further round covers continuous batching with
+// mixed sampler schedules, and a last round trains: its loss bits and parameter hash pin the autograd
 // ops and UNet::forward, and so the bytes of a saved checkpoint.
 //
 // `determinism_probe --isa-usable <name>` is a host-capability probe for
@@ -150,32 +149,6 @@ int main(int argc, char** argv) {
   for (auto& f : cfuts) {
     serve::GenResponse resp = f.get();
     std::printf("cont id %" PRIu64 " ok %d\n", resp.id, resp.ok());
-    for (const Raster& p : resp.patterns)
-      std::printf("%016" PRIx64 "\n", p.hash());
-  }
-
-  // Quantized round: the same bar for the reduced-precision tiers. Mixed
-  // int8/bf16/fp32 traffic forces the continuous executor to split batches
-  // by tier; every request's hashes must stay a pure function of its
-  // (seed, precision), bitwise invariant across thread counts.
-  std::vector<std::future<serve::GenResponse>> qfuts;
-  auto submit_prec = [&](std::uint64_t id, const char* precision, int count) {
-    serve::GenRequest req;
-    req.id = id;
-    req.op = serve::GenRequest::Op::kSample;
-    req.model = "probe";
-    req.seed = 0xEF00 + id;
-    req.count = count;
-    req.precision = precision;
-    qfuts.push_back(server.submit(std::move(req)));
-  };
-  submit_prec(21, "int8", 2);
-  submit_prec(22, "fp32", 1);
-  submit_prec(23, "int8", 1);
-  submit_prec(24, "bf16", 2);
-  for (auto& f : qfuts) {
-    serve::GenResponse resp = f.get();
-    std::printf("quant id %" PRIu64 " ok %d\n", resp.id, resp.ok());
     for (const Raster& p : resp.patterns)
       std::printf("%016" PRIx64 "\n", p.hash());
   }

@@ -22,7 +22,6 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "diffusion/convert.hpp"
-#include "nn/quant.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -78,11 +77,6 @@ Raster bar_template(int clip) {
 /// match bitwise.
 std::vector<Raster> sequential_reference(const ModelRegistry::EntryPtr& entry,
                                          const GenRequest& req) {
-  // The reference runs under the request's own precision tier, exactly as
-  // the executor pins it around the forward passes.
-  nn::Precision prec = nn::Precision::kFp32;
-  nn::parse_precision(req.precision, &prec);
-  nn::ScopedPrecision pin(prec);
   const int clip = entry->cfg.clip_size;
   const std::size_t plane = static_cast<std::size_t>(clip) * clip;
   nn::Tensor known({req.count, 1, clip, clip});
@@ -439,6 +433,16 @@ TEST(Serve, ProtocolSamplerKnobs) {
   ASSERT_TRUE(gen_request_from_json(max_seed, &req, &err)) << err;
   EXPECT_EQ(req.seed, 9007199254740991ull);
 
+  // Inference is fp32 only: old clients that name it keep working, and any
+  // other precision is refused.
+  obs::Json fp32 = obs::Json::parse(
+      R"({"id":1,"op":"sample","model":"t","precision":"fp32"})");
+  ASSERT_TRUE(gen_request_from_json(fp32, &req, &err)) << err;
+  obs::Json int8 = obs::Json::parse(
+      R"({"id":1,"op":"sample","model":"t","precision":"int8"})");
+  EXPECT_FALSE(gen_request_from_json(int8, &req, &err));
+  EXPECT_EQ(err, "precision: only \"fp32\" is served");
+
   for (const char* bad : {
            R"({"id":1,"op":"sample","model":"t","steps":-3})",
            R"({"id":1,"op":"sample","model":"t","steps":2.5})",
@@ -451,126 +455,12 @@ TEST(Serve, ProtocolSamplerKnobs) {
            R"({"id":1,"op":"sample","model":"t","seed":9007199254740993})",
            R"({"id":1,"op":"expand","model":"t","target_w":4294967328,"target_h":32})",
            R"({"id":1,"op":"sample","model":"t","count":1e10})",
+           R"({"id":1,"op":"sample","model":"t","precision":"bf16"})",
+           R"({"id":1,"op":"sample","model":"t","precision":8})",
        }) {
     EXPECT_FALSE(gen_request_from_json(obs::Json::parse(bad), &req, &err))
         << bad;
   }
-}
-
-// Precision knob admission: unknown tiers are rejected as bad_request
-// before the executor ever sees them; all three valid tiers are accepted.
-TEST(Serve, PrecisionKnobAdmission) {
-  auto registry = tiny_registry();
-  GenerationServer server(registry);
-  GenRequest bad = sample_req(1, 1);
-  bad.precision = "fp16";
-  EXPECT_EQ(server.submit(std::move(bad)).get().error,
-            ErrorCode::kBadRequest);
-  GenRequest shouty = sample_req(2, 2);
-  shouty.precision = "INT8";  // names are case-sensitive
-  EXPECT_EQ(server.submit(std::move(shouty)).get().error,
-            ErrorCode::kBadRequest);
-  std::vector<std::future<GenResponse>> oks;
-  std::uint64_t id = 3;
-  for (const char* p : {"fp32", "bf16", "int8"}) {
-    GenRequest ok = sample_req(id, id);
-    ok.precision = p;
-    oks.push_back(server.submit(std::move(ok)));
-    ++id;
-  }
-  server.shutdown();
-  for (auto& f : oks) EXPECT_TRUE(f.get().ok());
-}
-
-// Wire-level parse of the precision knob: absent = fp32, non-string is a
-// parse error, unknown NAMES are left to admission (bad_request there).
-TEST(Serve, ProtocolPrecisionKnob) {
-  GenRequest req;
-  std::string err;
-  obs::Json dflt = obs::Json::parse(R"({"id":1,"op":"sample","model":"t"})");
-  ASSERT_TRUE(gen_request_from_json(dflt, &req, &err)) << err;
-  EXPECT_EQ(req.precision, "fp32");
-  obs::Json quant = obs::Json::parse(
-      R"({"id":1,"op":"sample","model":"t","precision":"int8"})");
-  ASSERT_TRUE(gen_request_from_json(quant, &req, &err)) << err;
-  EXPECT_EQ(req.precision, "int8");
-  obs::Json bad = obs::Json::parse(
-      R"({"id":1,"op":"sample","model":"t","precision":8})");
-  EXPECT_FALSE(gen_request_from_json(bad, &req, &err));
-}
-
-// The precision tier is part of the generation-cache key: an int8 result
-// must never be served to an fp32 request, or vice versa.
-TEST(Serve, CacheNeverCrossesPrecisionTiers) {
-  auto registry = tiny_registry();
-  ModelRegistry::EntryPtr entry = registry->get("t");
-  GenRequest a = sample_req(1, 9);
-  GenRequest b = sample_req(2, 9);  // id differs; identity fields equal
-  EXPECT_EQ(generation_cache_key(a, *entry), generation_cache_key(b, *entry));
-  b.precision = "int8";
-  EXPECT_NE(generation_cache_key(a, *entry), generation_cache_key(b, *entry));
-  GenRequest c = sample_req(3, 9);
-  c.precision = "bf16";
-  EXPECT_NE(generation_cache_key(b, *entry), generation_cache_key(c, *entry));
-
-  // End to end: the same (model, seed) twice per tier with the cache on.
-  // The repeat within a tier hits; the first request of the other tier
-  // computes fresh — and bumps the quantized-GEMM counter, proving the
-  // int8 arithmetic really ran (registry entries quantize weights at
-  // load) rather than being served from the fp32 entry.
-  ServerConfig cfg;
-  cfg.cache_entries = 8;
-  GenerationServer server(registry, cfg);
-  server.start();
-  GenResponse fp1 = server.submit(sample_req(10, 9, 2, false)).get();
-  GenResponse fp2 = server.submit(sample_req(11, 9, 2, false)).get();
-  const std::uint64_t quantized_before =
-      obs::metrics().counter("nn.gemm.quantized").value();
-  GenRequest q1 = sample_req(12, 9, 2, false);
-  q1.precision = "int8";
-  GenRequest q2 = sample_req(13, 9, 2, false);
-  q2.precision = "int8";
-  GenResponse r1 = server.submit(std::move(q1)).get();
-  GenResponse r2 = server.submit(std::move(q2)).get();
-  server.shutdown();
-  ASSERT_TRUE(fp1.ok() && fp2.ok() && r1.ok() && r2.ok());
-  EXPECT_FALSE(fp1.cached);
-  EXPECT_TRUE(fp2.cached);
-  EXPECT_FALSE(r1.cached);  // int8 never sees the fp32 entry
-  EXPECT_TRUE(r2.cached);
-  EXPECT_EQ(fp1.patterns, fp2.patterns);
-  EXPECT_EQ(r1.patterns, r2.patterns);
-  EXPECT_GT(obs::metrics().counter("nn.gemm.quantized").value(),
-            quantized_before);
-}
-
-// Mixed-precision traffic through the continuous executor: requests at
-// different tiers never share a step batch (the whole forward pass runs
-// one weight table), and each one's bits match its own sequential
-// reference under the same tier.
-TEST(Serve, ContinuousMixedPrecisionEqualSequential) {
-  auto registry = tiny_registry();
-  ModelRegistry::EntryPtr entry = registry->get("t");
-  ServerConfig cfg;
-  cfg.max_batch_samples = 8;
-  GenerationServer server(registry, cfg);
-  const char* precs[] = {"fp32", "int8", "bf16", "int8", "fp32"};
-  std::vector<GenRequest> reqs;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    GenRequest r = sample_req(i + 1, 50 + i, i % 2 ? 2 : 1);
-    r.precision = precs[i];
-    reqs.push_back(r);
-  }
-  std::vector<std::future<GenResponse>> futs;
-  for (const GenRequest& r : reqs) futs.push_back(server.submit(r));
-  server.start();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    GenResponse resp = futs[i].get();
-    ASSERT_TRUE(resp.ok()) << resp.message;
-    EXPECT_EQ(sequential_reference(entry, reqs[i]), resp.patterns)
-        << "request " << reqs[i].id << " (" << reqs[i].precision << ")";
-  }
-  server.shutdown();
 }
 
 // (b) Bounded queue: admission rejects with a structured reason once full.
@@ -968,9 +858,10 @@ TEST(Serve, RequestLogAccountsEveryRequest) {
                             "queue_ms", "run_ms", "e2e_ms", "step_batches",
                             "batch_peak"})
       EXPECT_TRUE(j.find(key) && j.find(key)->is_number()) << key;
-    for (const char* key : {"op", "model", "outcome", "code", "precision"})
+    for (const char* key : {"op", "model", "outcome", "code"})
       EXPECT_TRUE(j.find(key) && j.find(key)->is_string()) << key;
     EXPECT_TRUE(j.find("joined_running")->is_bool());
+    EXPECT_EQ(j.find("precision"), nullptr);  // fp32 is the only tier
     ++outcomes[j.find("outcome")->as_string()];
   }
   EXPECT_EQ(outcomes["ok"], 2);
