@@ -3,6 +3,7 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "geometry/polygon.hpp"
@@ -11,8 +12,10 @@ namespace pp {
 
 namespace {
 
-/// name[lo, hi) as a positive int. The structure name is outside input, so
-/// a non-numeric or out-of-range dimension is a pp::Error.
+/// name[lo, hi) as an int in [1, kMaxGdsClipEdge]. The structure name is
+/// outside input, so a non-numeric or out-of-range dimension is a
+/// pp::Error, and the cap keeps a one-line name from asking for a
+/// gigapixel raster.
 int parse_dim(const std::string& name, std::size_t lo, std::size_t hi) {
   int v = 0;
   const char* first = name.data() + lo;
@@ -20,6 +23,9 @@ int parse_dim(const std::string& name, std::size_t lo, std::size_t hi) {
   const auto [end, ec] = std::from_chars(first, last, v);
   PP_REQUIRE_MSG(ec == std::errc() && end == last && v > 0,
                  "bad GDS clip dimensions in " + name);
+  PP_REQUIRE_MSG(v <= kMaxGdsClipEdge,
+                 "GDS clip side above " + std::to_string(kMaxGdsClipEdge) +
+                     " in " + name);
   return v;
 }
 

@@ -18,6 +18,11 @@
 
 namespace pp {
 
+/// Largest clip side read_gds_text accepts: the largest canvas
+/// `ppaint_cli expand` and the server write. A structure name that declares
+/// more is a pp::Error before any raster is allocated.
+inline constexpr int kMaxGdsClipEdge = 4096;
+
 struct GdsTextOptions {
   int layer = 10;
   int datatype = 0;
@@ -30,7 +35,8 @@ void write_gds_text(const std::vector<Raster>& patterns,
 
 /// Reads a library previously written by write_gds_text (or compatible
 /// ASCII GDS with rectilinear boundaries and encoded structure names).
-/// Throws pp::Error on parse errors.
+/// Throws pp::Error on parse errors, including a side above
+/// kMaxGdsClipEdge.
 std::vector<Raster> read_gds_text(const std::string& path);
 
 /// Rasterizes one closed rectilinear polygon (vertices in pixel corner

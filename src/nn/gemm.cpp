@@ -107,6 +107,66 @@ void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
   });
 }
 
+void sconv3x3_s1_grad_input(int Co, int Ci, int H, int W, const float* A,
+                            const float* g, float* gx) {
+  const detail::KernelTable& kt = detail::active_kernels();
+  PP_REQUIRE_MSG(kt.conv3x3_s1_gx,
+                 "sconv3x3_s1_grad_input: no kernel on this ISA");
+  rows_parallel(Ci, [&](std::size_t lo, std::size_t hi) {
+    kt.conv3x3_s1_gx(lo, hi, Co, Ci, H, W, A, g, gx);
+  });
+}
+
+void sconv3x3_s1_grad_weight(int Co, int Ci, int H, int W, const float* g,
+                             const float* x, float* gw) {
+  const detail::KernelTable& kt = detail::active_kernels();
+  PP_REQUIRE_MSG(kt.conv3x3_s1_gw,
+                 "sconv3x3_s1_grad_weight: no kernel on this ISA");
+  // Every row tile walks every block of the plane, so the blocks' masks
+  // are built once, here on the calling thread, and shared read-only.
+  const int P = H * W;
+  const int blocks = (P + 15) / 16;
+  Workspace& ws = Workspace::tls();
+  WorkspaceScope scope(ws);
+  auto* masks = reinterpret_cast<std::uint16_t*>(
+      ws.alloc((static_cast<std::size_t>(blocks) * 9 + 1) / 2));
+  for (int b = 0, col = 0; b < blocks; ++b, col = (col + 16) % W)
+    detail::conv3x3_tap_masks(16 * b, col, W, P, masks + 9 * b);
+  rows_parallel(Co, [&](std::size_t lo, std::size_t hi) {
+    kt.conv3x3_s1_gw(lo, hi, Ci, H, W, g, x, masks, gw);
+  });
+}
+
+namespace detail {
+
+namespace {
+
+/// Lanes l in [0, 16) with lo <= j + l < hi.
+unsigned lane_range(int j, int lo, int hi) {
+  const int a = std::clamp(lo - j, 0, 16);
+  const int b = std::clamp(hi - j, 0, 16);
+  return b > a ? ((1u << b) - 1u) & ~((1u << a) - 1u) : 0u;
+}
+
+}  // namespace
+
+// Three row ranges (ky = 0 needs a row above, ky = 2 one below, ky = 1
+// only a position inside the plane) AND two column sets (kx = 0 is dead
+// in column 0, kx = 2 in column W−1).
+void conv3x3_tap_masks(int j, int col, int W, int P, std::uint16_t m[9]) {
+  const unsigned rows[3] = {lane_range(j, W, P), lane_range(j, 0, P),
+                            lane_range(j, 0, P - W)};
+  unsigned first = 0, last = 0;
+  for (int l = col == 0 ? 0 : W - col; l < 16; l += W) first |= 1u << l;
+  for (int l = W - 1 - col; l < 16; l += W) last |= 1u << l;
+  const unsigned cols[3] = {~first, ~0u, ~last};
+  for (int ky = 0; ky < 3; ++ky)
+    for (int kx = 0; kx < 3; ++kx)
+      m[ky * 3 + kx] = static_cast<std::uint16_t>(rows[ky] & cols[kx]);
+}
+
+}  // namespace detail
+
 void pack_i8_b(const std::int16_t* B, int N, int K, I8Layout layout, int ldb,
                std::int16_t* out) {
   PP_REQUIRE_MSG(layout != I8Layout::kPacked,

@@ -1,7 +1,8 @@
 // Single-precision and quantized GEMM with runtime-dispatched microkernels
 // (scalar, AVX2+FMA or AVX-512, see nn/simd.hpp), the im2col/col2im
-// packing that turns convolutions into GEMM calls, and the im2col-free
-// 3x3 convolution the AVX-512 tier runs instead of that packing.
+// packing that turns convolutions and their gradients into GEMM calls, and
+// the im2col-free 3x3 convolution and gradients the AVX-512 tier runs
+// instead of that packing.
 //
 // All matrices are row-major with explicit leading dimensions (row
 // strides). Rows of C are split across pp::parallel_for_chunks (disjoint
@@ -71,6 +72,21 @@ void sgemm_tn(int M, int N, int K, const float* A, int lda, const float* B,
 void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
                  const float* x, float* C,
                  const GemmEpilogue* epilogue = nullptr);
+
+/// The input gradient of that conv for one sample, without the col
+/// buffer: gx{Ci, H·W} += col2im(A{Co, Ci·9}^T · g{Co, H·W}), with A the
+/// weights and g the output gradient. Bitwise equal to sgemm_tn into a
+/// col buffer + col2im_add on the same ISA. Rows (input channels) split
+/// across the pool like sconv3x3_s1; AVX-512 only (pp::Error elsewhere).
+void sconv3x3_s1_grad_input(int Co, int Ci, int H, int W, const float* A,
+                            const float* g, float* gx);
+
+/// The weight gradient of that conv for one sample, without im2col:
+/// gw{Co, Ci·9} += g{Co, H·W} · im2col(x)^T. Bitwise equal to im2col +
+/// sgemm_nt (accumulate) on the same ISA. Rows (output channels) split
+/// across the pool; AVX-512 only (pp::Error elsewhere).
+void sconv3x3_s1_grad_weight(int Co, int Ci, int H, int W, const float* g,
+                             const float* x, float* gw);
 
 /// Storage order of the B operand handed to sgemm_i8_nt. kNT is B{N,K}
 /// row-major (weights as QuantizedModelWeights stores them); kKN is B{K,N}

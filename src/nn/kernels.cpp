@@ -21,10 +21,11 @@ struct ConvDims {
   int N, Ci, H, W, Co, Kh, Kw, Ho, Wo;
 };
 
-ConvDims conv_dims(const Tensor& x, const Tensor& w, const Tensor& b,
-                   int stride, int pad) {
-  PP_REQUIRE_MSG(x.ndim() == 4 && w.ndim() == 4 && b.ndim() == 1,
-                 "conv2d: expected x{N,Ci,H,W} w{Co,Ci,Kh,Kw} b{Co}");
+/// Shapes of x{N,Ci,H,W} conv w{Co,Ci,Kh,Kw} at (stride, pad); pp::Error
+/// when they do not agree.
+ConvDims conv_dims(const Tensor& x, const Tensor& w, int stride, int pad) {
+  PP_REQUIRE_MSG(x.ndim() == 4 && w.ndim() == 4,
+                 "conv2d: expected x{N,Ci,H,W} w{Co,Ci,Kh,Kw}");
   PP_REQUIRE(stride >= 1 && pad >= 0);
   ConvDims d;
   d.N = x.dim(0);
@@ -35,7 +36,6 @@ ConvDims conv_dims(const Tensor& x, const Tensor& w, const Tensor& b,
   d.Kh = w.dim(2);
   d.Kw = w.dim(3);
   PP_REQUIRE_MSG(w.dim(1) == d.Ci, "conv2d: in-channel mismatch");
-  PP_REQUIRE_MSG(b.dim(0) == d.Co, "conv2d: bias size mismatch");
   // Checked before dividing: the division truncates toward zero, so a
   // kernel larger than the padded input would otherwise yield Ho = 1.
   PP_REQUIRE_MSG(d.H + 2 * pad >= d.Kh && d.W + 2 * pad >= d.Kw,
@@ -43,6 +43,27 @@ ConvDims conv_dims(const Tensor& x, const Tensor& w, const Tensor& b,
   d.Ho = (d.H + 2 * pad - d.Kh) / stride + 1;
   d.Wo = (d.W + 2 * pad - d.Kw) / stride + 1;
   return d;
+}
+
+/// conv_dims for a gradient: x is the forward input or its gradient, w
+/// the weights or theirs, and gout must be the forward's {N,Co,Ho,Wo}.
+/// The kernels index all three by these dims, so a mismatch would read or
+/// write out of bounds.
+ConvDims grad_dims(const Tensor& x, const Tensor& w, const Tensor& gout,
+                   int stride, int pad) {
+  const ConvDims d = conv_dims(x, w, stride, pad);
+  PP_REQUIRE_MSG(gout.ndim() == 4 && gout.dim(0) == d.N &&
+                     gout.dim(1) == d.Co && gout.dim(2) == d.Ho &&
+                     gout.dim(3) == d.Wo,
+                 "conv2d grad: gout must be the forward output's "
+                 "{N,Co,Ho,Wo}");
+  return d;
+}
+
+/// A stride-1, pad-1 3x3 conv: the shape the AVX-512 tier computes
+/// straight from the planes, forward and backward.
+bool is_3x3_s1(const ConvDims& d, int stride, int pad) {
+  return d.Kh == 3 && d.Kw == 3 && stride == 1 && pad == 1;
 }
 
 bool resolve_gemm(ConvAlgo algo, const ConvDims& d) {
@@ -230,7 +251,9 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
       obs::metrics().counter("nn.conv2d.dispatch.implicit");
   static obs::Counter& direct_dispatches =
       obs::metrics().counter("nn.conv2d.dispatch.direct");
-  const ConvDims d = conv_dims(x, w, b, stride, pad);
+  const ConvDims d = conv_dims(x, w, stride, pad);
+  PP_REQUIRE_MSG(b.ndim() == 1 && b.dim(0) == d.Co,
+                 "conv2d: bias size mismatch");
   Tensor out({d.N, d.Co, d.Ho, d.Wo});
   if (!resolve_gemm(algo, d)) {
     PP_TRACE_SPAN("nn.conv2d.direct");
@@ -246,8 +269,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   // kernel (AVX-512): the same GEMM with B read straight from the plane,
   // so the same bits and no col buffer. int8 quantizes the col panel, so
   // it keeps im2col.
-  const bool implicit = !int8 && d.Kh == 3 && d.Kw == 3 && stride == 1 &&
-                        pad == 1 && detail::active_kernels().conv3x3_s1;
+  const bool implicit = !int8 && is_3x3_s1(d, stride, pad) &&
+                        detail::active_kernels().conv3x3_s1;
   PP_TRACE_SPAN(implicit ? "nn.conv2d.implicit" : "nn.conv2d.gemm");
   (implicit ? implicit_dispatches : gemm_dispatches).add(1);
   const int K2 = d.Ci * d.Kh * d.Kw;
@@ -332,18 +355,35 @@ void conv2d_grad_bias(const Tensor& gout, Tensor& gb) {
     }
 }
 
+// Both gradients of a stride-1 3x3 conv skip the col buffer where the ISA
+// has the kernels (AVX-512): the same arithmetic lane for lane, so the
+// same bits as im2col/col2im + GEMM. Every other conv keeps the buffer.
+obs::Counter& implicit_grad_dispatches() {
+  static obs::Counter& c =
+      obs::metrics().counter("nn.conv2d.dispatch.implicit_grad");
+  return c;
+}
+
 void conv2d_grad_weight(const Tensor& x, const Tensor& gout, Tensor& gw,
                         int stride, int pad, ConvAlgo algo) {
-  ConvDims d;
-  d.N = x.dim(0); d.Ci = x.dim(1); d.H = x.dim(2); d.W = x.dim(3);
-  d.Co = gout.dim(1); d.Kh = gw.dim(2); d.Kw = gw.dim(3);
-  d.Ho = gout.dim(2); d.Wo = gout.dim(3);
+  PP_TRACE_SPAN("nn.conv2d.grad_weight");
+  const ConvDims d = grad_dims(x, gw, gout, stride, pad);
   if (!resolve_gemm(algo, d)) {
     conv_grad_weight_direct(d, stride, pad, x.data(), gout.data(), gw.data());
     return;
   }
   const int K2 = d.Ci * d.Kh * d.Kw;
   const int P = d.Ho * d.Wo;
+  if (is_3x3_s1(d, stride, pad) && detail::active_kernels().conv3x3_s1_gw) {
+    implicit_grad_dispatches().add(1);
+    for (int n = 0; n < d.N; ++n)
+      sconv3x3_s1_grad_weight(
+          d.Co, d.Ci, d.H, d.W,
+          gout.data() + static_cast<std::size_t>(n) * d.Co * P,
+          x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W,
+          gw.data());
+    return;
+  }
   const bool pointwise = is_pointwise(d, stride, pad);
   Workspace& ws = Workspace::tls();
   WorkspaceScope scope(ws);
@@ -363,16 +403,23 @@ void conv2d_grad_weight(const Tensor& x, const Tensor& gout, Tensor& gw,
 
 void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
                        int stride, int pad, ConvAlgo algo) {
-  ConvDims d;
-  d.N = gx.dim(0); d.Ci = gx.dim(1); d.H = gx.dim(2); d.W = gx.dim(3);
-  d.Co = w.dim(0); d.Kh = w.dim(2); d.Kw = w.dim(3);
-  d.Ho = gout.dim(2); d.Wo = gout.dim(3);
+  PP_TRACE_SPAN("nn.conv2d.grad_input");
+  const ConvDims d = grad_dims(gx, w, gout, stride, pad);
   if (!resolve_gemm(algo, d)) {
     conv_grad_input_direct(d, stride, pad, w.data(), gout.data(), gx.data());
     return;
   }
   const int K2 = d.Ci * d.Kh * d.Kw;
   const int P = d.Ho * d.Wo;
+  if (is_3x3_s1(d, stride, pad) && detail::active_kernels().conv3x3_s1_gx) {
+    implicit_grad_dispatches().add(1);
+    for (int n = 0; n < d.N; ++n)
+      sconv3x3_s1_grad_input(
+          d.Co, d.Ci, d.H, d.W, w.data(),
+          gout.data() + static_cast<std::size_t>(n) * d.Co * P,
+          gx.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W);
+    return;
+  }
   const bool pointwise = is_pointwise(d, stride, pad);
   Workspace& ws = Workspace::tls();
   WorkspaceScope scope(ws);

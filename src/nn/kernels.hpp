@@ -20,6 +20,13 @@
 //     kernel reads each B vector straight from the plane under per-tap
 //     lane masks (sconv3x3_s1, span nn.conv2d.implicit), bitwise equal to
 //     im2col + SGEMM. Scalar, AVX2 and int8 keep im2col.
+// The gradients take the same path as the forward: direct loops, or
+// GEMM over an im2col buffer (weight) and a col buffer scattered back by
+// col2im_add (input). On AVX-512 both gradients of a 3x3/stride-1/pad-1
+// conv read the planes directly instead (sconv3x3_s1_grad_weight /
+// _grad_input, counter nn.conv2d.dispatch.implicit_grad), bitwise equal
+// to the buffered path. Spans nn.conv2d.grad_weight / grad_input cover
+// every algorithm.
 // kAuto picks via conv2d_use_gemm (see DESIGN.md for the heuristic; its
 // thresholds predate the block-copy im2col and are kept so no conv's
 // output bits move).
@@ -54,10 +61,13 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 void conv2d_grad_bias(const Tensor& gout, Tensor& gb);
 
 /// Accumulates d(loss)/d(w) into gw given the forward input and gout.
+/// Validates shapes like conv2d_forward: gw{Co,Ci,Kh,Kw} must agree with
+/// x{N,Ci,H,W}, and gout must be the forward's {N,Co,Ho,Wo} (pp::Error).
 void conv2d_grad_weight(const Tensor& x, const Tensor& gout, Tensor& gw,
                         int stride, int pad, ConvAlgo algo = ConvAlgo::kAuto);
 
-/// Accumulates d(loss)/d(x) into gx given the weights and gout.
+/// Accumulates d(loss)/d(x) into gx given the weights and gout. gx must
+/// have the forward input's shape; shapes are validated as above.
 void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
                        int stride, int pad, ConvAlgo algo = ConvAlgo::kAuto);
 

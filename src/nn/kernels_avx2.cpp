@@ -672,7 +672,8 @@ const KernelTable* avx2_kernels() {
       add_const_avx2,  axpy_avx2,
       reduce_sum_sumsq_avx2, normalize_affine_avx2,
       gemm_i8_nt_avx2, quantize_s8_avx2, widen_bf16_avx2,
-      /*conv3x3_s1=*/nullptr,
+      /*conv3x3_s1=*/nullptr, /*conv3x3_s1_gx=*/nullptr,
+      /*conv3x3_s1_gw=*/nullptr,
   };
   return &table;
 }

@@ -8,8 +8,8 @@
 // __m512 vectors, 32-column C stripes (NV=2), and __mmask16 masked
 // loads/stores for every ragged tail — AVX-512 masking replaces the AVX2
 // maskload tables outright. The fp32 row tile is 12 rows tall (24 zmm
-// accumulators at NV=2), and only this tier carries conv3x3_s1, the
-// im2col-free 3x3 convolution.
+// accumulators at NV=2), and only this tier carries conv3x3_s1 and its two
+// gradients conv3x3_s1_gx / conv3x3_s1_gw, the im2col-free 3x3 convolution.
 //
 // Determinism rules this file must uphold (simd_kernels.hpp):
 //   * GEMM blocks: a C row's reduction order is fixed by (j, k) alone;
@@ -245,13 +245,6 @@ void gemm_nt_avx512(std::size_t lo, std::size_t hi, int N, int K,
 // loop runs in weight order, so every output gets the FMA chain gemm_nn
 // runs over its im2col column: the bits are those of im2col + gemm_nn.
 
-/// Lanes l in [0, 16) with lo <= j + l < hi.
-inline unsigned lane_range(int j, int lo, int hi) {
-  const int a = std::clamp(lo - j, 0, 16);
-  const int b = std::clamp(hi - j, 0, 16);
-  return b > a ? ((1u << b) - 1u) & ~((1u << a) - 1u) : 0u;
-}
-
 /// (col + n) mod W for col in [0, W), without a division.
 inline int advance_col(int col, int n, int W) {
   col += n;
@@ -259,20 +252,12 @@ inline int advance_col(int col, int n, int W) {
   return col;
 }
 
-/// The nine tap masks, in weight order, of the 16 outputs at flat
-/// positions j.. of an H x W plane (P = H·W); col = j mod W. Built from
-/// three row ranges (ky = 0 needs a row above, ky = 2 one below) and two
-/// column sets (kx = 0 is dead in column 0, kx = 2 in column W−1).
-inline void tap_masks(int j, int col, int W, int P, __mmask16 m[9]) {
-  const unsigned rows[3] = {lane_range(j, W, P), lane_range(j, 0, P),
-                            lane_range(j, 0, P - W)};
-  unsigned first = 0, last = 0;
-  for (int l = col == 0 ? 0 : W - col; l < 16; l += W) first |= 1u << l;
-  for (int l = W - 1 - col; l < 16; l += W) last |= 1u << l;
-  const unsigned cols[3] = {~first, ~0u, ~last};
-  for (int ky = 0; ky < 3; ++ky)
-    for (int kx = 0; kx < 3; ++kx)
-      m[ky * 3 + kx] = static_cast<__mmask16>(rows[ky] & cols[kx]);
+/// conv3x3_tap_masks of the 16·NV outputs at j0.. (col = j0 mod W), one
+/// row of nine per 16-lane vector.
+template <int NV>
+inline void stripe_masks(int j0, int col, int W, int P, __mmask16 (&m)[NV][9]) {
+  for (int v = 0; v < NV; ++v, col = advance_col(col, 16, W))
+    conv3x3_tap_masks(j0 + 16 * v, col, W, P, m[v]);
 }
 
 /// One tap T of channel c: xp points at the tile's first output pixel in
@@ -329,8 +314,7 @@ inline void conv3x3_stripe(std::size_t lo, std::size_t hi, int Ci, int H,
                            int j0, int col) {
   const int P = H * W;
   __mmask16 m[NV][9];
-  for (int v = 0; v < NV; ++v, col = advance_col(col, 16, W))
-    tap_masks(j0 + 16 * v, col, W, P, m[v]);
+  stripe_masks(j0, col, W, P, m);
   row_tiles(lo, hi, [&](auto mr, std::size_t i) {
     conv3x3_tile<decltype(mr)::value, NV>(A, i, Ci, x,
                                           static_cast<std::size_t>(P), W, j0,
@@ -345,6 +329,172 @@ void conv3x3_s1_avx512(std::size_t lo, std::size_t hi, int Ci, int H, int W,
   for (; j + 16 < P; j += 32, col = advance_col(col, 32, W))
     conv3x3_stripe<2>(lo, hi, Ci, H, W, A, x, C, j, col);
   if (j < P) conv3x3_stripe<1>(lo, hi, Ci, H, W, A, x, C, j, col);
+}
+
+// --- Implicit-GEMM 3x3 convolution gradients -------------------------------
+//
+// Input gradient. gemm_tn writes col row (c, T) at output q as the
+// co-sequential FMA chain of w[co][c·9+T]·g[co][q], and col2im_add adds
+// it, tap after tap in weight order, into gx at q − (ky−1)·W − (kx−1)
+// wherever output q exists. Seen from gx pixel p, tap T's output is
+// q = p + (1−ky)·W + (1−kx), and it exists exactly where the forward mask
+// of tap 8−T is set at p. So conv3x3_s1_gx runs, per tap, gemm_tn's chain
+// from +0.0f over g loaded at that offset under that mask, and adds the
+// chain into gx under the same mask: a cleared lane keeps its gx value,
+// just as col2im_add skips it.
+//
+// Weight gradient. gemm_nt computes gw[co][c·9+T] as an FMA chain of
+// g[co] against col row (c, T) over 16-pixel blocks, masking both at the
+// ragged tail, then one _mm512_reduce_add_ps and one +=. conv3x3_s1_gw
+// runs that chain with the col block read straight from the plane under
+// the block's tap-T mask, which yields the +0.0f im2col writes.
+
+/// Tap T of input channels [c0, c0 + MR) at gx pixels j0..: gemm_tn's
+/// chain over co into acc. wc points at row co = 0, column c0·9 of A; g
+/// at pixel j0 of output channel 0.
+template <int T, int MR, int NV>
+inline void conv3x3_gx_chain(__m512 (&acc)[MR][NV], const float* wc,
+                             std::size_t lda, int Co, const float* g,
+                             std::size_t plane, std::ptrdiff_t W,
+                             const __mmask16 (&m)[NV][9]) {
+  for (int r = 0; r < MR; ++r)
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_ps();
+  const float* gp = g + (1 - T / 3) * W + (1 - T % 3);
+  for (int co = 0; co < Co; ++co, gp += plane, wc += lda) {
+    __m512 b[NV];
+    for (int v = 0; v < NV; ++v)
+      b[v] = _mm512_maskz_loadu_ps(m[v][8 - T], gp + 16 * v);
+    for (int r = 0; r < MR; ++r) {
+      const __m512 a = _mm512_set1_ps(wc[r * 9 + T]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_fmadd_ps(a, b[v], acc[r][v]);
+    }
+  }
+}
+
+/// A 12-row tile reads, adds and writes gx once per tap; smaller tiles
+/// keep gx in registers (MR·NV more zmm) and store it once.
+template <int MR, int NV, int... T>
+inline void conv3x3_gx_tile(const float* A, std::size_t c0, int Co, int Ci,
+                            const float* g, std::size_t plane, int W, int j0,
+                            const __mmask16 (&m)[NV][9], float* gx,
+                            std::integer_sequence<int, T...>) {
+  constexpr bool kInRegs = MR <= 6;
+  const std::size_t lda = static_cast<std::size_t>(Ci) * 9;
+  const float* wc = A + c0 * 9;
+  float* out = gx + c0 * plane + j0;
+  __m512 acc[MR][NV], sum[MR][NV];
+  if constexpr (kInRegs)
+    for (int r = 0; r < MR; ++r)
+      for (int v = 0; v < NV; ++v)
+        sum[r][v] = _mm512_maskz_loadu_ps(m[v][4], out + r * plane + 16 * v);
+  auto tap = [&](auto t) {
+    constexpr int kT = decltype(t)::value;
+    conv3x3_gx_chain<kT>(acc, wc, lda, Co, g + j0, plane, W, m);
+    for (int r = 0; r < MR; ++r)
+      for (int v = 0; v < NV; ++v) {
+        const __mmask16 k = m[v][8 - kT];
+        if constexpr (kInRegs) {
+          sum[r][v] = _mm512_mask_add_ps(sum[r][v], k, sum[r][v], acc[r][v]);
+        } else {
+          float* p = out + r * plane + 16 * v;
+          _mm512_mask_storeu_ps(
+              p, k, _mm512_add_ps(_mm512_maskz_loadu_ps(k, p), acc[r][v]));
+        }
+      }
+  };
+  (tap(std::integral_constant<int, T>{}), ...);
+  if constexpr (kInRegs)
+    for (int r = 0; r < MR; ++r)
+      for (int v = 0; v < NV; ++v)
+        _mm512_mask_storeu_ps(out + r * plane + 16 * v, m[v][4], sum[r][v]);
+}
+
+void conv3x3_s1_gx_avx512(std::size_t lo, std::size_t hi, int Co, int Ci,
+                          int H, int W, const float* A, const float* g,
+                          float* gx) {
+  const int P = H * W;
+  const std::size_t plane = static_cast<std::size_t>(P);
+  auto stripe = [&](auto nv, int j0, int col) {
+    constexpr int NV = decltype(nv)::value;
+    __mmask16 m[NV][9];
+    stripe_masks(j0, col, W, P, m);
+    row_tiles(lo, hi, [&](auto mr, std::size_t i) {
+      conv3x3_gx_tile<decltype(mr)::value, NV>(
+          A, i, Co, Ci, g, plane, W, j0, m, gx,
+          std::make_integer_sequence<int, 9>{});
+    });
+  };
+  int j = 0, col = 0;
+  for (; j + 16 < P; j += 32, col = advance_col(col, 32, W))
+    stripe(std::integral_constant<int, 2>{}, j, col);
+  if (j < P) stripe(std::integral_constant<int, 1>{}, j, col);
+}
+
+/// One 16-pixel block of every tap of one input channel: a[r] is output
+/// row r's gradient at the block, xp the channel's plane at the block,
+/// mb the block's nine tap masks.
+template <int MR, int... T>
+inline void conv3x3_gw_block(__m512 (&acc)[MR][9], const __m512 (&a)[MR],
+                             const float* xp, std::ptrdiff_t W,
+                             const std::uint16_t* mb,
+                             std::integer_sequence<int, T...>) {
+  auto tap = [&](auto t) {
+    constexpr int kT = decltype(t)::value;
+    const __m512 b =
+        _mm512_maskz_loadu_ps(mb[kT], xp + (kT / 3 - 1) * W + (kT % 3 - 1));
+    for (int r = 0; r < MR; ++r)
+      acc[r][kT] = _mm512_fmadd_ps(a[r], b, acc[r][kT]);
+  };
+  (tap(std::integral_constant<int, T>{}), ...);
+}
+
+/// Output channels [co0, co0 + MR), one input channel at a time: MR × 9
+/// dot accumulators (27 zmm at MR = 3) over the plane's blocks.
+template <int MR>
+inline void conv3x3_gw_tile(std::size_t co0, int Ci, int H, int W,
+                            const float* g, const float* x,
+                            const std::uint16_t* masks, float* gw) {
+  const int P = H * W;
+  const std::size_t plane = static_cast<std::size_t>(P);
+  const std::size_t lda = static_cast<std::size_t>(Ci) * 9;
+  const int full = P / 16;
+  const float* grow[MR];
+  for (int r = 0; r < MR; ++r) grow[r] = g + (co0 + r) * plane;
+  const float* xp = x;
+  for (int c = 0; c < Ci; ++c, xp += plane) {
+    __m512 acc[MR][9];
+    for (int r = 0; r < MR; ++r)
+      for (int t = 0; t < 9; ++t) acc[r][t] = _mm512_setzero_ps();
+    __m512 a[MR];
+    for (int b = 0; b < full; ++b) {
+      for (int r = 0; r < MR; ++r) a[r] = _mm512_loadu_ps(grow[r] + 16 * b);
+      conv3x3_gw_block(acc, a, xp + 16 * b, W, masks + 9 * b,
+                       std::make_integer_sequence<int, 9>{});
+    }
+    if (16 * full < P) {
+      const __mmask16 tail = tail_mask16(P - 16 * full);
+      for (int r = 0; r < MR; ++r)
+        a[r] = _mm512_maskz_loadu_ps(tail, grow[r] + 16 * full);
+      conv3x3_gw_block(acc, a, xp + 16 * full, W, masks + 9 * full,
+                       std::make_integer_sequence<int, 9>{});
+    }
+    for (int r = 0; r < MR; ++r) {
+      float* out = gw + (co0 + r) * lda + static_cast<std::size_t>(c) * 9;
+      for (int t = 0; t < 9; ++t) out[t] += hsum16(acc[r][t]);
+    }
+  }
+}
+
+void conv3x3_s1_gw_avx512(std::size_t lo, std::size_t hi, int Ci, int H,
+                          int W, const float* g, const float* x,
+                          const std::uint16_t* masks, float* gw) {
+  std::size_t i = lo;
+  for (; i + 3 <= hi; i += 3) conv3x3_gw_tile<3>(i, Ci, H, W, g, x, masks, gw);
+  if (hi - i == 2)
+    conv3x3_gw_tile<2>(i, Ci, H, W, g, x, masks, gw);
+  else if (hi - i == 1)
+    conv3x3_gw_tile<1>(i, Ci, H, W, g, x, masks, gw);
 }
 
 // --- Elementwise -----------------------------------------------------------
@@ -783,7 +933,7 @@ const KernelTable* avx512_kernels() {
       add_const_avx512,  axpy_avx512,
       reduce_sum_sumsq_avx512, normalize_affine_avx512,
       gemm_i8_nt_avx512, quantize_s8_avx512, widen_bf16_avx512,
-      conv3x3_s1_avx512,
+      conv3x3_s1_avx512, conv3x3_s1_gx_avx512, conv3x3_s1_gw_avx512,
   };
   return &table;
 }

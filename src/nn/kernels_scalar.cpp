@@ -244,7 +244,8 @@ const KernelTable& scalar_kernels() {
       add_const_scalar,  axpy_scalar,
       reduce_sum_sumsq_scalar, normalize_affine_scalar,
       gemm_i8_nt_scalar, quantize_s8_scalar, widen_bf16_scalar,
-      /*conv3x3_s1=*/nullptr,
+      /*conv3x3_s1=*/nullptr, /*conv3x3_s1_gx=*/nullptr,
+      /*conv3x3_s1_gw=*/nullptr,
   };
   return table;
 }

@@ -4,7 +4,8 @@
 //   * GEMM block kernels compute rows [lo, hi) of C and are called from
 //     inside pp::parallel_for_chunks: a row's arithmetic (k order, lane
 //     assignment) must not depend on lo/hi, so any thread chunking yields
-//     bitwise-identical rows.
+//     bitwise-identical rows. The im2col-free conv entries are row blocks
+//     of the same kind.
 //   * Elementwise kernels are value-pure: output element i is a function
 //     of input element i alone, independent of where i falls relative to
 //     vector-width boundaries (vector tiers handle tails with masked
@@ -87,6 +88,9 @@ struct KernelTable {
   void (*widen_bf16)(const std::uint16_t* x, float* out, std::size_t n);
 
   // --- im2col-free convolution (null on tiers that keep im2col + GEMM) ---
+  // A stride-1, pad-1 3x3 conv of one sample and both of its gradients,
+  // each read straight from the {C,H,W} planes under conv3x3_tap_masks
+  // lane masks instead of through an im2col or col2im buffer.
   /// Rows [lo, hi) of C{Co, H·W} = A{Co, Ci·9} · im2col(x) for a stride-1,
   /// pad-1 3x3 conv of one sample's {Ci,H,W} plane x, read straight from
   /// the plane. Bitwise equal to im2col + gemm_nn of the same table:
@@ -94,7 +98,34 @@ struct KernelTable {
   /// outside the plane enters as the +0.0f im2col writes. Overwrites C.
   void (*conv3x3_s1)(std::size_t lo, std::size_t hi, int Ci, int H, int W,
                      const float* A, const float* x, float* C);
+  /// Input gradient: rows [lo, hi) (input channels) of gx{Ci, H·W} +=
+  /// col2im(A{Co, Ci·9}^T · g{Co, H·W}), with A the weights and g the
+  /// output gradient. Bitwise equal to gemm_tn into a col buffer followed
+  /// by col2im_add: per tap, in weight order, gemm_tn's co-sequential FMA
+  /// chain from +0.0f, added into gx only where the output pixel it came
+  /// from exists.
+  void (*conv3x3_s1_gx)(std::size_t lo, std::size_t hi, int Co, int Ci,
+                        int H, int W, const float* A, const float* g,
+                        float* gx);
+  /// Weight gradient: rows [lo, hi) (output channels) of gw{Co, Ci·9} +=
+  /// g{Co, H·W} · im2col(x)^T. Bitwise equal to im2col + gemm_nt with
+  /// accumulate: every output runs gemm_nt's chain over the plane's
+  /// 16-pixel blocks in order, one horizontal sum and one +=. masks holds
+  /// conv3x3_tap_masks of every block (9 per block, block after block),
+  /// built by the caller before the rows are split.
+  void (*conv3x3_s1_gw)(std::size_t lo, std::size_t hi, int Ci, int H, int W,
+                        const float* g, const float* x,
+                        const std::uint16_t* masks, float* gw);
 };
+
+/// Lane masks, in weight order, of the nine taps of a stride-1, pad-1 3x3
+/// conv at the 16 flat positions j.. of an H x W plane (P = H·W, col =
+/// j mod W). Bit l of m[T] is set when position j + l is inside the plane
+/// and so is its tap-T source pixel, at (ky−1)·W + (kx−1) from it: exactly
+/// the lanes of im2col's tap-T row that are not +0.0f padding. Defined in
+/// gemm.cpp, a baseline translation unit, so the wrappers there can build
+/// mask tables as well as the AVX-512 kernels.
+void conv3x3_tap_masks(int j, int col, int W, int P, std::uint16_t m[9]);
 
 /// The portable kernel set (always available).
 const KernelTable& scalar_kernels();

@@ -267,15 +267,27 @@ TEST_F(GdsText, RejectsCorruptStreams) {
 }
 
 // Structure-name dimensions are outside input: a non-numeric or
-// out-of-range value is a pp::Error, not an escaped std::stoi exception.
+// out-of-range value is a pp::Error, not an escaped std::stoi exception,
+// and a side above kMaxGdsClipEdge is one too, not a std::bad_alloc or a
+// gigapixel raster.
 TEST_F(GdsText, RejectsBadStructureDimensions) {
   for (const char* name : {"c_wABC_h5", "c_w99999999999_h1", "c_w4_h4x",
-                           "c_w0_h4", "c_w-3_h4"}) {
+                           "c_w0_h4", "c_w-3_h4", "p_w2147483647_h2147483647",
+                           "p_w3000000_h1000", "p_w4097_h1", "p_w1_h4097"}) {
     std::ofstream f(path("dims.gds"));
     f << "HEADER 600\nBGNSTR\nSTRNAME " << name << "\nENDSTR\n";
     f.close();
     EXPECT_THROW(read_gds_text(path("dims.gds")), Error) << name;
   }
+  // The cap itself is a legal clip: an empty structure at the largest
+  // expansion canvas loads.
+  std::ofstream f(path("edge.gds"));
+  f << "HEADER 600\nBGNSTR\nSTRNAME e_w4096_h4096\nENDSTR\n";
+  f.close();
+  const std::vector<Raster> clips = read_gds_text(path("edge.gds"));
+  ASSERT_EQ(clips.size(), 1u);
+  EXPECT_EQ(clips[0].width(), kMaxGdsClipEdge);
+  EXPECT_EQ(clips[0].height(), kMaxGdsClipEdge);
 }
 
 using StreamExport = TempDir;

@@ -845,6 +845,28 @@ TEST(ConvParity, GradAccumulationIsAdditive) {
     EXPECT_NEAR(gw_twice[i], 2.0f * gw_once[i], 1e-3f);
 }
 
+TEST(ConvParity, GradientsRejectMismatchedShapes) {
+  // The kernels index gw, gx and gout by the forward's dims, so a shape
+  // that disagrees must throw before any of them reads or writes.
+  Rng rng(97);
+  Tensor x = Tensor::randn({1, 3, 8, 8}, rng);
+  Tensor w = Tensor::randn({4, 3, 3, 3}, rng);
+  Tensor gout = Tensor::randn({1, 4, 8, 8}, rng);
+  for (ConvAlgo algo : {ConvAlgo::kDirect, ConvAlgo::kGemm}) {
+    Tensor gw_bad({4, 2, 3, 3});  // Ci = 2, x has 3
+    EXPECT_THROW(conv2d_grad_weight(x, gout, gw_bad, 1, 1, algo), Error);
+    Tensor gx_bad({1, 3, 8, 7});  // not the forward input's shape
+    EXPECT_THROW(conv2d_grad_input(w, gout, gx_bad, 1, 1, algo), Error);
+    Tensor gout_bad = Tensor::randn({1, 4, 7, 8}, rng);  // Ho = 7, not 8
+    Tensor gw({4, 3, 3, 3});
+    EXPECT_THROW(conv2d_grad_weight(x, gout_bad, gw, 1, 1, algo), Error);
+    Tensor gx = x.zeros_like();
+    EXPECT_THROW(conv2d_grad_input(w, gout_bad, gx, 1, 1, algo), Error);
+    // gout from a stride-1 conv handed to a stride-2 gradient.
+    EXPECT_THROW(conv2d_grad_weight(x, gout, gw, 2, 1, algo), Error);
+  }
+}
+
 TEST(ConvDispatch, HeuristicPrefersDirectForTinyAndGemmForLarge) {
   // A 2x2 output is too small to amortize packing; a UNet-sized 3x3 conv
   // over a 32x32 plane must take the GEMM path.

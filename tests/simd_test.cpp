@@ -389,6 +389,80 @@ TEST_P(SimdBitExactTest, Conv3x3MatchesIm2colGemmBitwise) {
   EXPECT_EQ(implicit_kernel, implicit.value() > implicit_before);
 }
 
+/// Every fifth element of t set to a signed zero, alternating +0 and -0.
+void sprinkle_signed_zeros(Tensor& t) {
+  for (std::size_t i = 0; i < t.numel(); i += 5)
+    t.data()[i] = i % 10 == 0 ? 0.0f : -0.0f;
+}
+
+// Both gradients of a stride-1 3x3 pad-1 conv skip the col buffer on
+// AVX-512 (conv3x3_s1_gw and conv3x3_s1_gx read the planes under per-tap
+// lane masks); every other tier keeps im2col/col2im + GEMM. Either way gw
+// must equal im2col + sgemm_nt (accumulate) and gx sgemm_tn + col2im_add
+// bit for bit. gw and gx start from random values and signed zeros, so a
+// lane written that col2im_add skips, or an add out of order, shows; gout
+// carries -0.0f. Planes, Co and the tiles are as in the forward test;
+// every (Co, Ci) pair meets both batch sizes.
+TEST_P(SimdBitExactTest, Conv3x3GradsMatchIm2colGemmBitwise) {
+  const detail::KernelTable& kt = detail::active_kernels();
+  const bool implicit_kernels = kt.conv3x3_s1_gx && kt.conv3x3_s1_gw;
+  EXPECT_EQ(GetParam() == Isa::kAvx512, implicit_kernels);
+  const obs::Counter& implicit =
+      obs::metrics().counter("nn.conv2d.dispatch.implicit_grad");
+  const std::uint64_t implicit_before = implicit.value();
+  const int sides[] = {1, 2, 3, 5, 8, 9, 16, 17, 20, 32, 33};
+  const int in_channels[] = {1, 3, 12, 24};
+  const int out_channels[] = {1, 5, 6, 7, 11, 12, 13, 24, 25, 48};
+  std::uint64_t seed = 2600;
+  int plane_idx = 0;
+  for (int H : sides) {
+    for (int W : sides) {
+      for (int co_idx = 0; co_idx < 10; ++co_idx) {
+        const int Co = out_channels[co_idx];
+        const int Ci = in_channels[(plane_idx + co_idx) % 4];
+        const int N = plane_idx / 4 % 2 == 0 ? 1 : 3;
+        Tensor x = random_tensor({N, Ci, H, W}, ++seed);
+        Tensor w = random_tensor({Co, Ci, 3, 3}, ++seed);
+        Tensor gout = random_tensor({N, Co, H, W}, ++seed);
+        for (std::size_t i = 3; i < gout.numel(); i += 7)
+          gout.data()[i] = -0.0f;
+        Tensor gw_start = random_tensor({Co, Ci, 3, 3}, ++seed);
+        Tensor gx_start = random_tensor({N, Ci, H, W}, ++seed);
+        sprinkle_signed_zeros(gw_start);
+        sprinkle_signed_zeros(gx_start);
+
+        Tensor gw = gw_start, gx = gx_start;
+        conv2d_grad_weight(x, gout, gw, 1, 1, ConvAlgo::kGemm);
+        conv2d_grad_input(w, gout, gx, 1, 1, ConvAlgo::kGemm);
+
+        const int P = H * W, K = Ci * 9;
+        Tensor gw_ref = gw_start, gx_ref = gx_start;
+        std::vector<float> col(static_cast<std::size_t>(K) * P);
+        for (int n = 0; n < N; ++n) {
+          const float* gn = gout.data() + static_cast<std::size_t>(n) * Co * P;
+          im2col(x.data() + static_cast<std::size_t>(n) * Ci * P, Ci, H, W, 3,
+                 3, 1, 1, H, W, col.data());
+          sgemm_nt(Co, K, P, gn, P, col.data(), P, gw_ref.data(), K, true);
+          sgemm_tn(K, P, Co, w.data(), K, gn, P, col.data(), P, false);
+          col2im_add(col.data(), Ci, H, W, 3, 3, 1, 1, H, W,
+                     gx_ref.data() + static_cast<std::size_t>(n) * Ci * P);
+        }
+        expect_bitwise(gw, gw_ref, "conv3x3 grad_weight");
+        if (!HasFatalFailure())
+          expect_bitwise(gx, gx_ref, "conv3x3 grad_input");
+        if (HasFatalFailure()) {
+          ADD_FAILURE() << "H=" << H << " W=" << W << " Ci=" << Ci
+                        << " Co=" << Co << " N=" << N;
+          return;
+        }
+      }
+      ++plane_idx;
+    }
+  }
+  // The AVX-512 leg must really have run the im2col-free kernels.
+  EXPECT_EQ(implicit_kernels, implicit.value() > implicit_before);
+}
+
 // Elementwise kernels are value-pure: splitting a buffer at an arbitrary
 // offset (as eltwise_parallel does across threads) must not change any
 // element, even though the split shifts vector-lane assignments.
