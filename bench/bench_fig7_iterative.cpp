@@ -8,10 +8,7 @@
 #include <cstdio>
 
 #include "benchutil.hpp"
-#include "common/parallel.hpp"
 #include "io/csv.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
 
 int main() {
   using namespace pp;
@@ -26,18 +23,12 @@ int main() {
   CsvWriter csv(results_dir() + "/fig7.csv");
   csv.row("config", "iteration", "generated", "legal", "unique", "h1", "h2");
 
-  // Per-config trajectory points as structured rows of the run report.
-  obs::Json trajectories = obs::Json::object();
-
   const char* presets[] = {"sd1", "sd2"};
   const bool fts[] = {false, true};
   for (const char* preset : presets) {
     for (bool ft : fts) {
       Trajectory t = run_trajectory(preset, ft);
       std::string label = config_label(preset, ft);
-      obs::Json points = obs::Json::array();
-      for (const auto& p : t.points) points.push_back(p.to_json());
-      trajectories.set(label, std::move(points));
       std::printf("%-24s %5s %9s %7s %7s %7s %7s\n", label.c_str(), "iter",
                   "generated", "legal", "unique", "H1", "H2");
       for (const auto& p : t.points) {
@@ -51,16 +42,6 @@ int main() {
     }
   }
   std::printf("series written to %s/fig7.csv\n", results_dir().c_str());
-  // The denoise+DRC finish tail runs on the shared pool with per-sample RNG
-  // streams; trajectories above are bitwise identical for any PP_THREADS.
-  std::printf("finish stage: %llu parallel chunks across %llu pool jobs "
-              "(%zu threads)\n",
-              static_cast<unsigned long long>(
-                  obs::metrics().counter("pp.finish.par_chunks").value()),
-              static_cast<unsigned long long>(pool_stats().jobs),
-              parallel_thread_count());
-  obs::register_report_section(
-      "trajectories", [trajectories] { return trajectories; });
   finalize_observability("fig7_iterative");
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "benchutil.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "core/patternpaint.hpp"
 #include "common/rng.hpp"
@@ -18,7 +17,6 @@
 #include "diffusion/convert.hpp"
 #include "legalize/feasible_topology.hpp"
 #include "legalize/solver.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "select/masks.hpp"
 #include "select/representative.hpp"
@@ -157,72 +155,6 @@ void report_cost_per_legal() {
   }
 }
 
-/// The parallelized finish tail (template denoise + DRC per sample) as the
-/// run report sees it: a batch of noisy samples fanned out over the shared
-/// pool via PatternPaint::finish_samples. Prints the pool-job delta and the
-/// pp.finish.par_chunks counter so the report shows the stage actually ran
-/// parallel (pool.jobs > 0 when PP_THREADS > 1), and emits the batch wall
-/// time for the perf trajectory.
-void report_finish_stage() {
-  using pp::bench::get_scale;
-  try {
-    auto starters = bench::starter_patterns(get_scale().starters);
-    auto model = bench::make_model("sd1", true, starters);
-    // Noisy raw samples: each starter with ragged-edge pixel flips, the
-    // denoiser's real workload shape — no inpainting in the timed region.
-    Rng rng(48);
-    std::vector<Raster> raws, tmpls;
-    for (int i = 0; i < 48; ++i) {
-      const Raster& tmpl = starters[static_cast<std::size_t>(i) % starters.size()];
-      Raster noisy = tmpl;
-      for (int y = 0; y < noisy.height(); ++y)
-        for (int x = 1; x + 1 < noisy.width(); ++x)
-          if (noisy(x, y) != noisy(x + 1, y) && rng.bernoulli(0.3))
-            noisy(x, y) = noisy(x, y) ? 0 : 1;
-      raws.push_back(std::move(noisy));
-      tmpls.push_back(tmpl);
-    }
-    std::uint64_t jobs_before = pool_stats().jobs;
-    std::uint64_t chunks_before =
-        obs::metrics().counter("pp.finish.par_chunks").value();
-    model->finish_samples(raws, tmpls);  // warm-up
-    Timer t;
-    auto records = model->finish_samples(raws, tmpls);
-    double ms = t.seconds() * 1e3;
-    std::uint64_t jobs = pool_stats().jobs - jobs_before;
-    std::uint64_t chunks =
-        obs::metrics().counter("pp.finish.par_chunks").value() - chunks_before;
-    std::printf("finish stage     : %zu samples in %.2f ms (%zu pool jobs, "
-                "%llu chunks, %zu threads)\n",
-                records.size(), ms, static_cast<std::size_t>(jobs),
-                static_cast<unsigned long long>(chunks),
-                parallel_thread_count());
-    emit_json_summary("table2_finish_batch48", ms);
-  } catch (const std::exception& e) {
-    std::printf("finish stage     : skipped (%s)\n", e.what());
-  }
-}
-
-/// Machine-readable perf trajectory: wall-time one inpaint call per size
-/// with a fresh RNG, mirroring BM_Inpainting's setup.
-void emit_inpaint_summaries() {
-  for (int size : {32, 64}) {
-    Rng rng(42);
-    Raster starter(size, size);
-    starter.fill_rect(Rect{size / 4, 0, size / 4 + size / 8, size}, 1);
-    nn::Tensor known = raster_to_tensor(starter);
-    Raster m(size, size);
-    m.fill_rect(Rect{0, 0, size / 2, size / 2}, 1);
-    nn::Tensor mask = mask_to_tensor(m);
-    model("sd1").inpaint(known, mask, rng);  // warm-up
-    Timer t;
-    nn::Tensor out = model("sd1").inpaint(known, mask, rng);
-    benchmark::DoNotOptimize(out.data());
-    emit_json_summary("table2_inpaint_" + std::to_string(size) + "px",
-                      t.seconds() * 1e3);
-  }
-}
-
 /// PP_TRACE=1 extra: one traced pass over the full per-sample pipeline
 /// (inpaint -> template denoise -> DRC -> representative selection) with a
 /// fresh trace buffer, so the exported Chrome trace / span summary covers
@@ -271,12 +203,10 @@ void run_traced_pipeline() {
       stage_ms += s.total_ms;
   }
   double coverage = wall_ms > 0 ? stage_ms / wall_ms : 0;
-  obs::metrics().gauge("trace.pipeline_coverage").set(coverage);
   std::printf("traced pipeline  : wall %.2f ms, stage spans %.2f ms "
               "(%.1f%% covered) [%s]\n",
               wall_ms, stage_ms, coverage * 100,
               coverage >= 0.9 && coverage <= 1.1 ? "OK" : "DRIFT");
-  emit_json_summary("table2_traced_pipeline", wall_ms);
 }
 
 }  // namespace
@@ -301,8 +231,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   report_cost_per_legal();
-  report_finish_stage();
-  emit_inpaint_summaries();
   run_traced_pipeline();
   finalize_observability("table2_runtime");
   return 0;

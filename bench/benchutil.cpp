@@ -1,6 +1,5 @@
 #include "benchutil.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include "common/error.hpp"
 #include "io/pattern_io.hpp"
 #include "obs/log.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "patterngen/track_generator.hpp"
 
@@ -166,46 +164,15 @@ void save_trajectory(const std::string& base, const Trajectory& t) {
 
 }  // namespace
 
-void emit_json_summary(const std::string& bench, double ms) {
-  std::printf("{\"bench\": \"%s\", \"ms\": %.3f}\n", bench.c_str(), ms);
-  std::fflush(stdout);
-}
-
-void emit_json_summary(const std::string& bench, double ms, double gflops,
-                       const std::string& isa) {
-  std::printf(
-      "{\"bench\": \"%s\", \"ms\": %.3f, \"gflops\": %.3f, \"isa\": \"%s\"}\n",
-      bench.c_str(), ms, gflops, isa.c_str());
-  std::fflush(stdout);
-}
-
-void emit_json_summary(
-    const std::string& bench, double ms,
-    const std::vector<std::pair<std::string, double>>& extras) {
-  std::printf("{\"bench\": \"%s\", \"ms\": %.3f", bench.c_str(), ms);
-  for (const auto& kv : extras)
-    std::printf(", \"%s\": %.3f", kv.first.c_str(), kv.second);
-  std::printf("}\n");
-  std::fflush(stdout);
-}
-
-std::string finalize_observability(const std::string& tool) {
-  const char* report_env = std::getenv("PP_REPORT_FILE");
-  std::string report_path =
-      report_env ? report_env : results_dir() + "/run_report_" + tool + ".json";
-  obs::write_run_report(report_path, tool);
-  PP_LOG(Info) << "run report: " << report_path;
-  if (obs::trace_enabled()) {
-    const char* trace_env = std::getenv("PP_TRACE_FILE");
-    std::string trace_path =
-        trace_env ? trace_env : results_dir() + "/trace_" + tool + ".json";
-    obs::write_chrome_trace(trace_path);
-    std::string spans_path = results_dir() + "/spans_" + tool + ".jsonl";
-    obs::write_span_summary_jsonl(spans_path);
-    PP_LOG(Info) << "chrome trace: " << trace_path
-                 << " span summary: " << spans_path;
-  }
-  return report_path;
+void finalize_observability(const std::string& tool) {
+  if (!obs::trace_enabled()) return;
+  const char* trace_env = std::getenv("PP_TRACE_FILE");
+  std::string trace_path =
+      trace_env ? trace_env : results_dir() + "/trace_" + tool + ".json";
+  if (obs::write_chrome_trace(trace_path))
+    PP_LOG(Info) << "chrome trace: " << trace_path;
+  else
+    PP_LOG(Warn) << "could not write chrome trace " << trace_path;
 }
 
 Trajectory run_trajectory(const std::string& preset, bool finetuned) {

@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "cli_args.hpp"
-#include "obs/report.hpp"
+#include "obs/json.hpp"
 #include "serve/net.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -78,20 +78,11 @@ struct Options {
   std::string port_file;
   std::string stats_path;
   std::string publish_path;
-  int publish_ms = 0;  // 0 = PP_PUBLISH_MS or 1000
+  int publish_ms = 0;  // set from PP_PUBLISH_MS or 1000 when publishing
   int backlog = 512;
   std::size_t max_conns = 4096;
   serve::ServerConfig server;
 };
-
-int default_publish_ms() {
-  if (const char* env = std::getenv("PP_PUBLISH_MS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
-  }
-  return 1000;
-}
 
 void usage() {
   std::fprintf(stderr,
@@ -203,6 +194,17 @@ bool parse_options(int argc, char** argv, Options* opt) {
     std::fprintf(stderr, "ppaint_serve: no listener configured\n");
     return false;
   }
+  // The publisher cadence: --publish-ms, else PP_PUBLISH_MS under the same
+  // bounds, else 1000.
+  if (!opt->publish_path.empty() && opt->publish_ms == 0) {
+    opt->publish_ms = 1000;
+    if (const char* env = std::getenv("PP_PUBLISH_MS")) {
+      long long n = 0;
+      if (!parse_num(kProg, "PP_PUBLISH_MS", env, 1, 1 << 30, &n))
+        return false;
+      opt->publish_ms = static_cast<int>(n);
+    }
+  }
   return true;
 }
 
@@ -276,8 +278,7 @@ int main(int argc, char** argv) {
   std::atomic<bool> publish_stop{false};
   std::thread publisher;
   if (!opt.publish_path.empty()) {
-    const int interval_ms =
-        opt.publish_ms > 0 ? opt.publish_ms : default_publish_ms();
+    const int interval_ms = opt.publish_ms;
     publisher = std::thread([&server, &publish_stop, interval_ms,
                              path = opt.publish_path] {
       do {

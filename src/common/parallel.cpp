@@ -2,17 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "obs/json.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 
 namespace pp {
 namespace {
@@ -63,9 +66,7 @@ class Pool {
     std::size_t nthreads = std::min(size(), n);
     if (nthreads <= 1) {
       inline_jobs.add(1);
-      std::uint64_t t0 = mono_ns();
       fn(begin, end);
-      busy_ns_[0].fetch_add(mono_ns() - t0, std::memory_order_relaxed);
       return;
     }
     std::unique_lock<std::mutex> guard(job_mutex_);  // one job at a time
@@ -81,10 +82,10 @@ class Pool {
       ++generation_;
     }
     cv_.notify_all();
-    // The calling thread participates as slot 0 and, by only returning
-    // once the chunk counter is exhausted, guarantees every chunk is
-    // claimed before the completion wait below.
-    work_chunks(*job, 0);
+    // The calling thread participates and, by only returning once the
+    // chunk counter is exhausted, guarantees every chunk is claimed before
+    // the completion wait below.
+    work_chunks(*job);
     {
       std::unique_lock<std::mutex> lk(m_);
       done_cv_.wait(lk, [&] {
@@ -97,55 +98,23 @@ class Pool {
     if (job->first_error) std::rethrow_exception(job->first_error);
   }
 
-  PoolStats stats() const {
-    PoolStats s;
-    s.threads = size();
-    s.jobs = obs::metrics().counter("pool.jobs").value();
-    s.inline_jobs = obs::metrics().counter("pool.inline_jobs").value();
-    s.chunks = obs::metrics().counter("pool.chunks").value();
-    double wall = static_cast<double>(mono_ns() - start_ns_);
-    s.busy_fraction.resize(size());
-    for (std::size_t i = 0; i < size(); ++i)
-      s.busy_fraction[i] =
-          wall > 0 ? static_cast<double>(
-                         busy_ns_[i].load(std::memory_order_relaxed)) /
-                         wall
-                   : 0.0;
-    return s;
-  }
-
  private:
   Pool() {
     std::size_t n = 0;
     // PP_THREADS overrides the pool width (1 = fully serial), for perf
     // comparisons and deterministic sanitizer runs.
     if (const char* env = std::getenv("PP_THREADS")) {
-      char* end = nullptr;
-      long v = std::strtol(env, &end, 10);
-      if (end != env && v >= 1) n = static_cast<std::size_t>(v);
+      n = parse_thread_count(env);
+      if (n == 0)
+        PP_LOG(Warn) << "PP_THREADS='" << env << "' is not an integer in [1, "
+                     << kMaxPoolThreads << "]; using the default width";
     }
     if (n == 0) {
       unsigned hw = std::thread::hardware_concurrency();
       n = hw == 0 ? 4 : std::min<std::size_t>(hw, 16);
     }
-    start_ns_ = mono_ns();
-    busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < n; ++i) busy_ns_[i].store(0);
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i + 1); });
-    }
-    obs::register_report_section("pool", [] {
-      PoolStats s = pool_stats();
-      obs::Json busy = obs::Json::array();
-      for (double f : s.busy_fraction) busy.push_back(obs::Json(f));
-      obs::Json o = obs::Json::object();
-      o.set("threads", obs::Json(s.threads));
-      o.set("jobs", obs::Json(s.jobs));
-      o.set("inline_jobs", obs::Json(s.inline_jobs));
-      o.set("chunks", obs::Json(s.chunks));
-      o.set("busy_fraction", std::move(busy));
-      return o;
-    });
+    for (std::size_t i = 0; i + 1 < n; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
   }
 
   ~Pool() {
@@ -157,7 +126,7 @@ class Pool {
     for (auto& t : workers_) t.join();
   }
 
-  void worker_loop(std::size_t slot) {
+  void worker_loop() {
     static obs::Histogram& wait_ns =
         obs::metrics().histogram("pool.job_wait_ns");
     std::uint64_t seen = 0;
@@ -172,17 +141,16 @@ class Pool {
       }
       if (!job) continue;
       wait_ns.observe(static_cast<double>(mono_ns() - job->publish_ns));
-      work_chunks(*job, slot);
+      work_chunks(*job);
     }
   }
 
   /// Claims and executes chunks. Registers in job.active around the whole
   /// claim/execute phase, so `active == 0` while the counter is exhausted
   /// means no callback invocation is in flight anywhere.
-  void work_chunks(Job& job, std::size_t slot) {
+  void work_chunks(Job& job) {
     static obs::Counter& chunk_counter = obs::metrics().counter("pool.chunks");
     job.active.fetch_add(1, std::memory_order_acquire);
-    std::uint64_t t0 = mono_ns();
     std::size_t executed = 0;
     for (;;) {
       std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -197,10 +165,7 @@ class Pool {
         if (!job.first_error) job.first_error = std::current_exception();
       }
     }
-    if (executed) {
-      chunk_counter.add(executed);
-      busy_ns_[slot].fetch_add(mono_ns() - t0, std::memory_order_relaxed);
-    }
+    if (executed) chunk_counter.add(executed);
     if (job.active.fetch_sub(1, std::memory_order_release) == 1) {
       std::lock_guard<std::mutex> lk(m_);
       done_cv_.notify_all();
@@ -214,8 +179,6 @@ class Pool {
   std::condition_variable done_cv_;
   std::shared_ptr<Job> current_job_;
   std::uint64_t generation_ = 0;
-  std::uint64_t start_ns_ = 0;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> busy_ns_;
   bool stop_ = false;
 };
 
@@ -223,7 +186,14 @@ class Pool {
 
 std::size_t parallel_thread_count() { return Pool::instance().size(); }
 
-PoolStats pool_stats() { return Pool::instance().stats(); }
+std::size_t parse_thread_count(const char* s) {
+  const char* end = s + std::strlen(s);
+  std::size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > kMaxPoolThreads)
+    return 0;
+  return v;
+}
 
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn) {

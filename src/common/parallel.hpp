@@ -5,31 +5,22 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace pp {
 
+/// Widest pool PP_THREADS may ask for.
+inline constexpr std::size_t kMaxPoolThreads = 256;
+
 /// Number of worker threads the pool uses: the PP_THREADS environment
-/// variable if set (>= 1; 1 means fully serial), else
+/// variable if it is valid (1 means fully serial), else
 /// hardware_concurrency capped at 16. Read once at pool creation.
 std::size_t parallel_thread_count();
 
-/// Pool instrumentation snapshot (also published as the "pool" section of
-/// the obs run report, and as pool.* counters/histograms in the metrics
-/// registry).
-struct PoolStats {
-  std::size_t threads = 0;      ///< pool width incl. the calling thread
-  std::uint64_t jobs = 0;       ///< parallel jobs dispatched to workers
-  std::uint64_t inline_jobs = 0;///< jobs run serially (small range / 1 thread)
-  std::uint64_t chunks = 0;     ///< work chunks claimed across all threads
-  /// Fraction of wall time each thread spent executing chunk bodies since
-  /// pool creation. Slot 0 aggregates every calling thread; slots 1.. are
-  /// the pool workers.
-  std::vector<double> busy_fraction;
-};
-PoolStats pool_stats();
+/// Parses a PP_THREADS value. The whole string must be a decimal integer in
+/// [1, kMaxPoolThreads]; anything else returns 0, and the pool then logs a
+/// warning and takes the default width.
+std::size_t parse_thread_count(const char* s);
 
 /// Runs fn(i) for every i in [begin, end), potentially in parallel.
 /// Falls back to a serial loop for small ranges. Exceptions thrown by fn are

@@ -40,8 +40,7 @@ struct GenerationRecord {
   bool legal = false;  ///< DRC verdict on `denoised`
   double wall_ms = 0.0;  ///< denoise + DRC time for this sample
 
-  /// {legal, wall_ms, raw_density, denoised_density} — the per-sample row
-  /// of the run report.
+  /// {legal, wall_ms, raw_density, denoised_density}.
   obs::Json to_json() const;
 };
 
@@ -56,7 +55,7 @@ struct IterationStats {
   double wall_seconds = 0.0;   ///< wall time of this round (0 for cached)
   double drc_pass_rate = 0.0;  ///< cumulative legal_total / generated_total
 
-  /// One trajectory point as a JSON object (run-report "trajectory" rows).
+  /// One trajectory point as a JSON object.
   obs::Json to_json() const;
 };
 

@@ -2,13 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "nn/simd_kernels.hpp"
-#include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/report.hpp"
 
 namespace pp::nn {
 
@@ -37,23 +34,6 @@ constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
 // force_isa pin: -1 = none, otherwise static_cast<int>(Isa).
 std::atomic<int> g_forced{-1};
 
-void register_simd_report_section() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    obs::register_report_section("simd", [] {
-      obs::Json j = obs::Json::object();
-      j.set("isa", isa_name(active_isa()));
-      j.set("avx2_compiled", isa_compiled(Isa::kAvx2));
-      j.set("avx2_usable", isa_usable(Isa::kAvx2));
-      j.set("avx512_compiled", isa_compiled(Isa::kAvx512));
-      j.set("avx512_usable", isa_usable(Isa::kAvx512));
-      j.set("forced", g_forced.load(std::memory_order_relaxed) >= 0 ||
-                          std::getenv("PP_FORCE_ISA") != nullptr);
-      return j;
-    });
-  });
-}
-
 Isa resolve_from_env() {
   if (const char* env = std::getenv("PP_FORCE_ISA")) {
     Isa isa = parse_isa(env);
@@ -78,11 +58,7 @@ Isa active_isa() {
   if (forced >= 0) return static_cast<Isa>(forced);
   // Resolved once; a throwing resolution (bad PP_FORCE_ISA) retries on the
   // next call rather than caching the failure.
-  static Isa resolved = [] {
-    Isa isa = resolve_from_env();
-    register_simd_report_section();
-    return isa;
-  }();
+  static Isa resolved = resolve_from_env();
   return resolved;
 }
 
@@ -132,7 +108,6 @@ Isa parse_isa(const std::string& name) {
 void force_isa(Isa isa) {
   PP_REQUIRE_MSG(isa_usable(isa), std::string("force_isa(") + isa_name(isa) +
                                       "): not usable on this host/build");
-  register_simd_report_section();
   g_forced.store(static_cast<int>(isa), std::memory_order_relaxed);
 }
 

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <system_error>
 
 namespace pp::obs {
 
@@ -323,6 +326,30 @@ class Parser {
 
 Json Json::parse(const std::string& text, std::string* err) {
   return Parser(text, err).run();
+}
+
+bool write_text_atomic(const std::string& path, const std::string& content) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out.good()) return false;
+    out << content;
+    out.flush();
+    if (!out.good()) {
+      out.close();
+      std::error_code ignored;
+      std::filesystem::remove(tmp, ignored);
+      return false;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace pp::obs

@@ -1,6 +1,7 @@
-// Minimal JSON value model used by the observability layer: the run report,
-// the chrome-trace exporter, the schema validator and the tests all speak
-// this one type, so "export then re-parse" round-trips exactly.
+// Minimal JSON value model used by the observability layer: the chrome-trace
+// exporter, the serve wire protocol, the stats and metrics snapshots and the
+// tests all speak this one type, so "export then re-parse" round-trips
+// exactly.
 //
 // Deliberately small: numbers are doubles, object keys are kept in
 // insertion order, no comments/NaN/Inf extensions. Parsing is strict
@@ -88,5 +89,12 @@ class Json {
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
 };
+
+/// Tmp+rename file write shared by every observability artifact (the chrome
+/// trace, serve stats dumps and published snapshots): writes `<path>.tmp`,
+/// then renames it into place, so a killed process never leaves a
+/// truncated file. fsync-free. Returns false on failure, leaving any
+/// previous file at `path` untouched.
+bool write_text_atomic(const std::string& path, const std::string& content);
 
 }  // namespace pp::obs

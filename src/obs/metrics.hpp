@@ -101,8 +101,7 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Zeroes every registered metric (names stay registered). For tests and
-  /// per-bench report isolation.
+  /// Zeroes every registered metric (names stay registered).
   void reset();
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:

@@ -1,12 +1,14 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
 #include <mutex>
 
 #include "obs/json.hpp"
+#include "obs/log.hpp"
 
 namespace pp::obs {
 
@@ -28,12 +30,14 @@ struct RawEvent {
 
 std::size_t buffer_capacity() {
   static std::size_t cap = [] {
-    if (const char* env = std::getenv("PP_TRACE_BUF")) {
-      char* end = nullptr;
-      long v = std::strtol(env, &end, 10);
-      if (end != env && v >= 64) return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(1) << 16;  // 64K events, ~1.5 MB/thread
+    constexpr std::size_t kDefault = std::size_t{1} << 16;  // 2.5 MB/thread
+    const char* env = std::getenv("PP_TRACE_BUF");
+    if (!env) return kDefault;
+    if (std::size_t v = parse_trace_buf(env)) return v;
+    PP_LOG(Warn) << "PP_TRACE_BUF='" << env << "' is not an integer in ["
+                 << kMinTraceBufEvents << ", " << kMaxTraceBufEvents
+                 << "]; using " << kDefault << " events";
+    return kDefault;
   }();
   return cap;
 }
@@ -134,6 +138,16 @@ void set_trace_enabled(bool on) {
   detail::g_trace_state.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
+std::size_t parse_trace_buf(const char* s) {
+  const char* end = s + std::strlen(s);
+  std::size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end || v < kMinTraceBufEvents ||
+      v > kMaxTraceBufEvents)
+    return 0;
+  return v;
+}
+
 void reset_trace() {
   auto& r = detail::registry();
   std::lock_guard<std::mutex> lk(r.m);
@@ -213,28 +227,6 @@ std::vector<SpanStat> span_summary() {
   return stats;
 }
 
-Json span_summary_json() {
-  Json arr = Json::array();
-  for (const SpanStat& s : span_summary()) {
-    Json o = Json::object();
-    o.set("name", Json(s.name));
-    o.set("count", Json(s.count));
-    o.set("total_ms", Json(s.total_ms));
-    o.set("p50_ms", Json(s.p50_ms));
-    o.set("p95_ms", Json(s.p95_ms));
-    arr.push_back(std::move(o));
-  }
-  return arr;
-}
-
-bool write_span_summary_jsonl(const std::string& path) {
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  Json arr = span_summary_json();
-  for (std::size_t i = 0; i < arr.size(); ++i) out << arr.at(i).dump() << "\n";
-  return out.good();
-}
-
 Json chrome_trace_json() {
   std::vector<TraceEventView> all = trace_events();
   Json events = Json::array();
@@ -291,10 +283,7 @@ Json chrome_trace_json() {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  out << chrome_trace_json().dump();
-  return out.good();
+  return write_text_atomic(path, chrome_trace_json().dump());
 }
 
 }  // namespace pp::obs

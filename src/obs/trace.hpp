@@ -23,11 +23,11 @@
 //
 // Exports (both honor every thread's buffer):
 //   * write_chrome_trace(path) — chrome://tracing / Perfetto "X" events;
-//   * span_summary() / write_span_summary_jsonl(path) — per-name
-//     count/total/p50/p95 aggregate, one JSON object per line.
+//   * span_summary() — per-name count/total/p50/p95 aggregate.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,6 +81,16 @@ inline void record_flow_point(const char* name, std::uint64_t corr) {
 }
 
 void set_trace_enabled(bool on);
+
+/// Bounds of PP_TRACE_BUF, in events per thread. An event takes 40 B, so
+/// the ceiling of 2^24 events is 640 MiB per thread.
+inline constexpr std::size_t kMinTraceBufEvents = 64;
+inline constexpr std::size_t kMaxTraceBufEvents = std::size_t{1} << 24;
+
+/// Parses a PP_TRACE_BUF value. The whole string must be a decimal integer
+/// in [kMinTraceBufEvents, kMaxTraceBufEvents]; anything else returns 0,
+/// and the buffer then keeps its default of 65536 events.
+std::size_t parse_trace_buf(const char* s);
 
 /// Clears every thread's buffer and the dropped counter. Only call while
 /// no thread is actively recording spans (buffers are written lock-free by
@@ -142,14 +152,10 @@ struct SpanStat {
 };
 std::vector<SpanStat> span_summary();
 
-/// Spans as a JSON array of {name,count,total_ms,p50_ms,p95_ms}.
-Json span_summary_json();
-
-/// One summary object per line. Returns false on I/O failure.
-bool write_span_summary_jsonl(const std::string& path);
-
 /// Full chrome://tracing document {"traceEvents": [...]}.
 Json chrome_trace_json();
+/// Writes chrome_trace_json() through write_text_atomic. Returns false on
+/// I/O failure.
 bool write_chrome_trace(const std::string& path);
 
 }  // namespace pp::obs

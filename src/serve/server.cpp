@@ -11,8 +11,8 @@
 #include "expand/expander.hpp"
 #include "diffusion/ddpm.hpp"
 #include "obs/expo.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 namespace pp::serve {

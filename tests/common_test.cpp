@@ -178,6 +178,18 @@ TEST(Parallel, ReentrantSequentialJobs) {
   EXPECT_EQ(b.load(), 300);
 }
 
+// Strings only: a pool is never built at any of these widths.
+TEST(Parallel, ThreadCountParseIsStrictAndBounded) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("256"), kMaxPoolThreads);
+  EXPECT_EQ(parse_thread_count("257"), 0u);
+  EXPECT_EQ(parse_thread_count("100000"), 0u);
+  EXPECT_EQ(parse_thread_count("4abc"), 0u);
+  EXPECT_EQ(parse_thread_count("0"), 0u);
+  EXPECT_EQ(parse_thread_count("-2"), 0u);
+  EXPECT_EQ(parse_thread_count(""), 0u);
+}
+
 TEST(Error, RequireMacroThrowsWithContext) {
   try {
     PP_REQUIRE_MSG(1 == 2, "math is broken");

@@ -1,22 +1,23 @@
 // Tests for the observability layer: JSON round-trips, logger filtering,
 // histogram percentiles, span recording (nesting, multi-thread merge,
-// disabled no-op) and run-report schema validation.
+// disabled no-op) and the chrome-trace export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/rolling.hpp"
 #include "obs/trace.hpp"
 
@@ -542,6 +543,48 @@ TEST_F(TraceTest, ChromeTraceJsonIsValid) {
   EXPECT_TRUE(e.find("dur")->is_number());
 }
 
+TEST_F(TraceTest, ChromeTraceWrittenAtomically) {
+  {
+    PP_TRACE_SPAN("obs_test.chrome_file");
+  }
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "pp_obs_test_trace";
+  fs::create_directories(dir);
+  const std::string path = (dir / "trace.json").string();
+  ASSERT_TRUE(write_chrome_trace(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string err;
+  Json back = Json::parse(text.str(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  ASSERT_NE(back.find("traceEvents"), nullptr);
+  EXPECT_GE(back.find("traceEvents")->size(), 1u);
+
+  // An unwritable path fails and leaves no file behind.
+  const std::string missing = (dir / "no_such_dir" / "trace.json").string();
+  EXPECT_FALSE(write_chrome_trace(missing));
+  EXPECT_FALSE(fs::exists(missing));
+  fs::remove_all(dir);
+}
+
+TEST(TraceBuf, ParseIsStrictAndBounded) {
+  EXPECT_EQ(parse_trace_buf("64"), 64u);
+  EXPECT_EQ(parse_trace_buf("65536"), 65536u);
+  EXPECT_EQ(parse_trace_buf("1048576"), 1048576u);  // what ppbench sets
+  EXPECT_EQ(parse_trace_buf("16777216"), kMaxTraceBufEvents);
+  EXPECT_EQ(parse_trace_buf("16777217"), 0u);
+  EXPECT_EQ(parse_trace_buf("99999999999999999999999"), 0u);  // overflows
+  EXPECT_EQ(parse_trace_buf("63"), 0u);
+  EXPECT_EQ(parse_trace_buf("0"), 0u);
+  EXPECT_EQ(parse_trace_buf("-64"), 0u);
+  EXPECT_EQ(parse_trace_buf("4096abc"), 0u);
+  EXPECT_EQ(parse_trace_buf(" 4096"), 0u);
+  EXPECT_EQ(parse_trace_buf("+4096"), 0u);
+  EXPECT_EQ(parse_trace_buf(""), 0u);
+}
+
 TEST_F(TraceTest, CorrSpansAndFlowPointsPropagate) {
   const std::uint64_t corr = 42;
   std::uint64_t start = trace_now_ns();
@@ -626,93 +669,6 @@ TEST_F(TraceTest, ResetClearsEvents) {
   reset_trace();
   EXPECT_EQ(trace_event_count(), 0u);
   EXPECT_EQ(trace_dropped(), 0u);
-}
-
-// --- Run report -------------------------------------------------------------
-
-TEST(RunReport, BuildValidateRoundTrip) {
-  metrics().counter("obs_test.report_counter").add(7);
-  metrics().gauge("obs_test.report_gauge").set(1.25);
-  metrics().histogram("obs_test.report_hist").observe(10.0);
-
-  Json report = build_run_report("obs_test");
-  std::string err;
-  EXPECT_TRUE(validate_run_report(report, &err)) << err;
-  EXPECT_EQ(report.find("tool")->as_string(), "obs_test");
-
-  // Survives serialization: dump -> parse -> validate again.
-  Json back = Json::parse(report.dump(2), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  EXPECT_TRUE(validate_run_report(back, &err)) << err;
-  const Json* counters = back.find("metrics")->find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_DOUBLE_EQ(counters->find("obs_test.report_counter")->as_number(), 7.0);
-}
-
-TEST(RunReport, TraceSectionCarriesDroppedSpans) {
-  Json report = build_run_report("obs_test");
-  const Json* trace = report.find("trace");
-  ASSERT_NE(trace, nullptr);
-  ASSERT_TRUE(trace->has("dropped_spans"));
-  EXPECT_GE(trace->find("dropped_spans")->as_number(), 0.0);
-  // The validator treats a missing dropped_spans as a broken report.
-  Json broken = Json::parse(report.dump());
-  Json slim = Json::object();
-  for (const auto& [k, v] : broken.find("trace")->items())
-    if (k != "dropped_spans") slim.set(k, v);
-  broken.set("trace", std::move(slim));
-  std::string err;
-  EXPECT_FALSE(validate_run_report(broken, &err));
-}
-
-TEST(RunReport, RegisteredSectionAppears) {
-  register_report_section("obs_test_section", [] {
-    Json o = Json::object();
-    o.set("answer", Json(42));
-    return o;
-  });
-  Json report = build_run_report("obs_test");
-  std::string err;
-  EXPECT_TRUE(validate_run_report(report, &err)) << err;
-  const Json* section = report.find("obs_test_section");
-  ASSERT_NE(section, nullptr);
-  EXPECT_DOUBLE_EQ(section->find("answer")->as_number(), 42.0);
-}
-
-TEST(RunReport, PoolSectionPublishedAfterParallelWork) {
-  std::atomic<int> sum{0};
-  parallel_for(0, 64, [&](std::size_t) { sum.fetch_add(1); });
-  EXPECT_EQ(sum.load(), 64);
-
-  Json report = build_run_report("obs_test");
-  const Json* pool = report.find("pool");
-  ASSERT_NE(pool, nullptr);
-  EXPECT_GE(pool->find("threads")->as_number(), 0.0);
-  EXPECT_TRUE(pool->find("busy_fraction")->is_array());
-
-  PoolStats stats = pool_stats();
-  EXPECT_GE(stats.jobs + stats.inline_jobs, 1u);
-  EXPECT_EQ(stats.busy_fraction.size(), stats.threads);
-}
-
-TEST(RunReport, ValidatorRejectsBrokenReports) {
-  Json report = build_run_report("obs_test");
-  std::string err;
-
-  Json no_tool = Json::parse(report.dump());
-  no_tool.set("tool", Json(3));  // wrong type
-  EXPECT_FALSE(validate_run_report(no_tool, &err));
-  EXPECT_FALSE(err.empty());
-
-  Json bad_version = Json::parse(report.dump());
-  bad_version.set("schema_version", Json(99));
-  EXPECT_FALSE(validate_run_report(bad_version, &err));
-
-  Json scalar_section = Json::parse(report.dump());
-  scalar_section.set("rogue", Json(1));  // extras must be object/array
-  EXPECT_FALSE(validate_run_report(scalar_section, &err));
-
-  EXPECT_FALSE(validate_run_report(Json(1), &err));
 }
 
 }  // namespace
