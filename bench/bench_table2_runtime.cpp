@@ -6,7 +6,7 @@
 // cheapest step by far, inpainting is sub-second-scale, and the nonlinear
 // solver under industrial rules is one to two orders of magnitude slower
 // than inpainting because failed restarts burn the whole budget.
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "benchutil.hpp"
 #include "common/timer.hpp"
@@ -35,8 +35,17 @@ Ddpm& model(const std::string& preset) {
   return preset == "sd2" ? sd2 : sd1;
 }
 
-void BM_Inpainting(benchmark::State& state, const std::string& preset,
-                   int size) {
+/// Runs `body` `iters` times and prints one Table II row: the case name,
+/// the iteration count and the mean wall time per iteration in ms.
+template <typename Body>
+void time_case(const char* name, int iters, Body body) {
+  Timer t;
+  for (int i = 0; i < iters; ++i) body();
+  std::printf("%-40s %6d %12.3f\n", name, iters, t.millis() / iters);
+}
+
+void time_inpainting(const char* name, const std::string& preset, int size,
+                     int iters) {
   Rng rng(42);
   Raster starter(size, size);
   starter.fill_rect(Rect{size / 4, 0, size / 4 + size / 8, size}, 1);
@@ -44,13 +53,11 @@ void BM_Inpainting(benchmark::State& state, const std::string& preset,
   Raster m(size, size);
   m.fill_rect(Rect{0, 0, size / 2, size / 2}, 1);
   nn::Tensor mask = mask_to_tensor(m);
-  for (auto _ : state) {
-    nn::Tensor out = model(preset).inpaint(known, mask, rng);
-    benchmark::DoNotOptimize(out.data());
-  }
+  const Ddpm& ddpm = model(preset);
+  time_case(name, iters, [&] { ddpm.inpaint(known, mask, rng); });
 }
 
-void BM_TemplateDenoise(benchmark::State& state) {
+void time_template_denoise(int iters) {
   Rng rng(43);
   int size = clip_size();
   Raster tmpl(size, size);
@@ -59,24 +66,21 @@ void BM_TemplateDenoise(benchmark::State& state) {
   Raster noisy = tmpl;
   for (int y = 0; y < size; ++y)
     if (rng.bernoulli(0.3)) noisy(9, y) = 1;  // ragged right edge
-  for (auto _ : state) {
-    Raster out = template_denoise(noisy, tmpl, TemplateDenoiseConfig{}, rng);
-    benchmark::DoNotOptimize(out.data().data());
-  }
+  time_case("Table2/PatternPaint_Denoising", iters, [&] {
+    template_denoise(noisy, tmpl, TemplateDenoiseConfig{}, rng);
+  });
 }
 
-void BM_NlmDenoise(benchmark::State& state) {
+void time_nlm_denoise(int iters) {
   Rng rng(44);
   int size = clip_size();
   Raster noisy(size, size);
   for (auto& v : noisy.data()) v = rng.bernoulli(0.3);
-  for (auto _ : state) {
-    Raster out = nlm_denoise(noisy);
-    benchmark::DoNotOptimize(out.data().data());
-  }
+  time_case("Table2/OpenCVStyle_NLM_Denoise", iters,
+            [&] { nlm_denoise(noisy); });
 }
 
-void BM_DiffPatternSolver(benchmark::State& state) {
+void time_diffpattern_solver(int iters) {
   // Solver runtime per generated sample under the industrial rule set; the
   // topology pool is feasible by construction.
   Rng rng(45);
@@ -89,10 +93,9 @@ void BM_DiffPatternSolver(benchmark::State& state) {
   cfg.max_iterations = 300;
   NonlinearLegalizer solver(advance_rules(), cfg);
   std::size_t i = 0;
-  for (auto _ : state) {
-    SolveResult res = solver.legalize(topologies[i++ % topologies.size()], rng);
-    benchmark::DoNotOptimize(res.success);
-  }
+  time_case("Table2/DiffPattern_SolverLegalization", iters, [&] {
+    solver.legalize(topologies[i++ % topologies.size()], rng);
+  });
 }
 
 /// Table II's real production quantity: seconds of compute per LEGAL
@@ -190,10 +193,8 @@ void run_traced_pipeline() {
   nn::Tensor out = model("sd1").inpaint(known, mask, rng);
   Raster raw = tensor_to_rasters(out)[0];
   Raster den = template_denoise(raw, starter, TemplateDenoiseConfig{}, rng);
-  DrcResult res = checker.check(den);
-  benchmark::DoNotOptimize(res.clean());
-  std::vector<std::size_t> sel = select_representatives(library, rc, rng);
-  benchmark::DoNotOptimize(sel.data());
+  checker.check(den);
+  select_representatives(library, rc, rng);
   double wall_ms = wall.seconds() * 1e3;
 
   double stage_ms = 0;
@@ -211,25 +212,14 @@ void run_traced_pipeline() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::RegisterBenchmark(
-      "Table2/PatternPaint_Inpainting_32px",
-      [](benchmark::State& s) { BM_Inpainting(s, "sd1", 32); })
-      ->Unit(benchmark::kMillisecond)->Iterations(3);
-  benchmark::RegisterBenchmark(
-      "Table2/PatternPaint_Inpainting_64px",
-      [](benchmark::State& s) { BM_Inpainting(s, "sd1", 64); })
-      ->Unit(benchmark::kMillisecond)->Iterations(2);
-  benchmark::RegisterBenchmark("Table2/PatternPaint_Denoising",
-                               BM_TemplateDenoise)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("Table2/OpenCVStyle_NLM_Denoise", BM_NlmDenoise)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("Table2/DiffPattern_SolverLegalization",
-                               BM_DiffPatternSolver)
-      ->Unit(benchmark::kMillisecond)->Iterations(3);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  std::printf("--- Table II runtime (ms per iteration) ---\n");
+  std::printf("%-40s %6s %12s\n", "case", "iters", "ms/iter");
+  time_inpainting("Table2/PatternPaint_Inpainting_32px", "sd1", 32, 3);
+  time_inpainting("Table2/PatternPaint_Inpainting_64px", "sd1", 64, 2);
+  time_template_denoise(10000);
+  time_nlm_denoise(50);
+  time_diffpattern_solver(3);
   report_cost_per_legal();
   run_traced_pipeline();
   finalize_observability("table2_runtime");

@@ -50,6 +50,7 @@
 #include "cli_args.hpp"
 #include "common/error.hpp"
 #include "drc/checker.hpp"
+#include "expand/plan.hpp"
 #include "nn/simd.hpp"
 #include "io/gds_text.hpp"
 #include "io/image_io.hpp"
@@ -68,6 +69,9 @@ using cli::parse_num;
 constexpr const char* kProg = "ppaint_cli";
 /// Seeds travel as NDJSON numbers, exact only up to 2^53 - 1.
 constexpr long long kMaxWireSeed = static_cast<long long>(serve::kMaxWireU64);
+// `expand` writes its canvas as GDS, and `convert` / `check` read it back.
+static_assert(kMaxGdsClipEdge >= expand::kMaxCanvasEdge,
+              "an expanded canvas must fit read_gds_text's clip cap");
 
 /// Parses the optional numeric argument args[i] into *out; an absent one
 /// keeps *out's default. False after a usage error naming `name`.
@@ -449,8 +453,10 @@ std::string str_of(const obs::Json* o, const char* key) {
 int cmd_expand(const std::vector<std::string>& args) {
   const std::string target = args.at(0);
   long long target_w = 0, target_h = 0, rng_seed = 7;
-  if (!parse_num(kProg, "<W>", args.at(1), 1, 4096, &target_w) ||
-      !parse_num(kProg, "<H>", args.at(2), 1, 4096, &target_h) ||
+  if (!parse_num(kProg, "<W>", args.at(1), 1, expand::kMaxCanvasEdge,
+                 &target_w) ||
+      !parse_num(kProg, "<H>", args.at(2), 1, expand::kMaxCanvasEdge,
+                 &target_h) ||
       !opt_num(args, 5, "[rng_seed]", 0, kMaxWireSeed, &rng_seed))
     return 2;
   const std::string out_prefix = args.at(3);

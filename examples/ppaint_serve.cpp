@@ -221,7 +221,6 @@ int run_net(const Options& opt, serve::GenerationServer& server,
   serve::NetServerConfig ncfg;
   ncfg.backlog = opt.backlog;
   ncfg.max_connections = opt.max_conns;
-  ncfg.transport.shutdown_on_eof = false;  // connections come and go
   serve::NetServer net(server, registry, ncfg);
   std::string err;
   if (!opt.socket_path.empty()) {

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "obs/log.hpp"
+#include "obs/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace pp {
@@ -100,19 +97,12 @@ class Pool {
 
  private:
   Pool() {
-    std::size_t n = 0;
     // PP_THREADS overrides the pool width (1 = fully serial), for perf
     // comparisons and deterministic sanitizer runs.
-    if (const char* env = std::getenv("PP_THREADS")) {
-      n = parse_thread_count(env);
-      if (n == 0)
-        PP_LOG(Warn) << "PP_THREADS='" << env << "' is not an integer in [1, "
-                     << kMaxPoolThreads << "]; using the default width";
-    }
-    if (n == 0) {
-      unsigned hw = std::thread::hardware_concurrency();
-      n = hw == 0 ? 4 : std::min<std::size_t>(hw, 16);
-    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    const std::size_t n = obs::env_bounded(
+        "PP_THREADS", 1, kMaxPoolThreads,
+        hw == 0 ? 4 : std::min<std::size_t>(hw, 16));
     for (std::size_t i = 0; i + 1 < n; ++i)
       workers_.emplace_back([this] { worker_loop(); });
   }
@@ -185,15 +175,6 @@ class Pool {
 }  // namespace
 
 std::size_t parallel_thread_count() { return Pool::instance().size(); }
-
-std::size_t parse_thread_count(const char* s) {
-  const char* end = s + std::strlen(s);
-  std::size_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc() || ptr != end || v < 1 || v > kMaxPoolThreads)
-    return 0;
-  return v;
-}
 
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn) {

@@ -13,14 +13,10 @@ namespace pp {
 inline constexpr std::size_t kMaxPoolThreads = 256;
 
 /// Number of worker threads the pool uses: the PP_THREADS environment
-/// variable if it is valid (1 means fully serial), else
-/// hardware_concurrency capped at 16. Read once at pool creation.
+/// variable if it is a whole number in [1, kMaxPoolThreads] (1 means fully
+/// serial; obs::env_bounded), else hardware_concurrency capped at 16. Read
+/// once at pool creation.
 std::size_t parallel_thread_count();
-
-/// Parses a PP_THREADS value. The whole string must be a decimal integer in
-/// [1, kMaxPoolThreads]; anything else returns 0, and the pool then logs a
-/// warning and takes the default width.
-std::size_t parse_thread_count(const char* s);
 
 /// Runs fn(i) for every i in [begin, end), potentially in parallel.
 /// Falls back to a serial loop for small ranges. Exceptions thrown by fn are

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace pp {
 
@@ -52,15 +51,6 @@ class Rng {
 
   /// Pick a uniformly random index in [0, n). Requires n > 0.
   std::size_t index(std::size_t n);
-
-  /// Fisher-Yates shuffle of a vector.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = index(i);
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
   /// Derive an independent child stream (for per-thread / per-sample use).
   Rng fork();

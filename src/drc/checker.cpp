@@ -24,7 +24,6 @@ const char* rule_kind_name(RuleKind k) {
     case RuleKind::kMinArea: return "min_area";
     case RuleKind::kDiscreteWidth: return "discrete_width";
     case RuleKind::kWidthDependentSpacing: return "width_dependent_spacing";
-    case RuleKind::kCornerSpace: return "corner_space";
   }
   return "unknown";
 }
@@ -134,48 +133,14 @@ void DrcChecker::check_impl(const Raster& r, DrcResult& out,
     }
   }
 
-  // --- Component rules: area + corner-to-corner spacing ---------------------
-  if ((rules_.min_area > 0 || rules_.min_corner_space > 0) && !done()) {
+  // --- Component rules: area -----------------------------------------------
+  if (rules_.min_area > 0 && !done()) {
     ComponentMap cm = label_components(r);
-    if (rules_.min_area > 0) {
-      for (const Component& c : cm.components) {
-        if (c.area < rules_.min_area)
-          add(RuleKind::kMinArea, c.bbox, static_cast<int>(c.area),
-              static_cast<int>(rules_.min_area));
-        if (done()) break;
-      }
-    }
-    if (rules_.min_corner_space > 0 && !done()) {
-      // For every metal pixel, look for a pixel of a DIFFERENT component
-      // within Chebyshev distance < min_corner_space. Scanning only the
-      // lower-right quadrant-plus reports each close pair once.
-      int c = rules_.min_corner_space;
-      for (int y = 0; y < r.height() && !done(); ++y)
-        for (int x = 0; x < r.width(); ++x) {
-          int label = cm.label_at(x, y);
-          if (label == 0) continue;
-          int best = c;  // smallest cross-component distance seen (< c)
-          Point other{-1, -1};
-          for (int dy = 0; dy < c; ++dy)
-            for (int dx = (dy == 0 ? 1 : -c + 1); dx < c; ++dx) {
-              int nx = x + dx, ny = y + dy;
-              if (nx < 0 || ny < 0 || nx >= r.width() || ny >= r.height())
-                continue;
-              int l2 = cm.label_at(nx, ny);
-              if (l2 == 0 || l2 == label) continue;
-              int dist = std::max(dx < 0 ? -dx : dx, dy);
-              if (dist < best) {
-                best = dist;
-                other = {nx, ny};
-              }
-            }
-          if (other.x >= 0) {
-            Rect region = Rect{x, y, x + 1, y + 1}.united(
-                Rect{other.x, other.y, other.x + 1, other.y + 1});
-            add(RuleKind::kCornerSpace, region, best, c);
-            if (done()) break;
-          }
-        }
+    for (const Component& c : cm.components) {
+      if (c.area < rules_.min_area)
+        add(RuleKind::kMinArea, c.bbox, static_cast<int>(c.area),
+            static_cast<int>(rules_.min_area));
+      if (done()) break;
     }
   }
 }

@@ -41,7 +41,6 @@ enum class RuleKind {
   kMinArea,
   kDiscreteWidth,
   kWidthDependentSpacing,
-  kCornerSpace,
 };
 
 const char* rule_kind_name(RuleKind k);

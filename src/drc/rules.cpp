@@ -79,7 +79,6 @@ RuleSet scale_rules_down(RuleSet r, int divisor) {
   r.allowed_widths_h.erase(
       std::unique(r.allowed_widths_h.begin(), r.allowed_widths_h.end()),
       r.allowed_widths_h.end());
-  r.min_corner_space = div(r.min_corner_space);
   if (r.wd_spacing.enabled()) {
     r.wd_spacing.wide_threshold = div(r.wd_spacing.wide_threshold);
     r.wd_spacing.thin_thin = div(r.wd_spacing.thin_thin);

@@ -67,13 +67,6 @@ struct RuleSet {
   // R1.1-1.4-S: width-dependent spacing (horizontal direction).
   WidthDependentSpacing wd_spacing;
 
-  // Corner-to-corner spacing: two DISTINCT metal components must keep a
-  // Chebyshev distance of at least this many pixels (0 disables). Catches
-  // diagonal near-touches that the axis-aligned run checks cannot see.
-  // Opt-in: not enabled in the three named rule sets so published
-  // experiment numbers are unaffected.
-  int min_corner_space = 0;
-
   bool width_is_discrete() const { return !allowed_widths_h.empty(); }
 };
 

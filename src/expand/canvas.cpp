@@ -1,97 +1,35 @@
 #include "expand/canvas.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/error.hpp"
 
 namespace pp::expand {
 
-ExpandCanvas::ExpandCanvas(int width, int height) : w_(width), h_(height) {
+ExpandCanvas::ExpandCanvas(int width, int height)
+    : pixels_(width, height), committed_(width, height) {
   PP_REQUIRE(width > 0 && height > 0);
-  rows_.resize(static_cast<std::size_t>(height));
-  committed_.resize(static_cast<std::size_t>(height));
-  for (int y = 0; y < height; ++y) {
-    rows_[static_cast<std::size_t>(y)].assign(static_cast<std::size_t>(width),
-                                              0);
-    committed_[static_cast<std::size_t>(y)].assign(
-        static_cast<std::size_t>(width), 0);
-  }
 }
 
 void ExpandCanvas::place_seed(const Raster& seed) {
-  PP_REQUIRE(seed.width() <= w_ && seed.height() <= h_);
+  PP_REQUIRE(seed.width() <= width() && seed.height() <= height());
   for (int y = 0; y < seed.height(); ++y)
     for (int x = 0; x < seed.width(); ++x) commit(x, y, seed(x, y));
 }
 
 void ExpandCanvas::commit(int x, int y, std::uint8_t v) {
-  PP_REQUIRE(x >= 0 && x < w_ && y >= released_ && y < h_);
-  auto& crow = committed_[static_cast<std::size_t>(y)];
-  PP_REQUIRE_MSG(crow[static_cast<std::size_t>(x)] == 0,
-                 "expand canvas pixel committed twice");
-  rows_[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] =
-      v ? std::uint8_t{1} : std::uint8_t{0};
-  crow[static_cast<std::size_t>(x)] = 1;
+  PP_REQUIRE(x >= 0 && x < width() && y >= 0 && y < height());
+  PP_REQUIRE_MSG(committed_(x, y) == 0, "expand canvas pixel committed twice");
+  pixels_(x, y) = v ? std::uint8_t{1} : std::uint8_t{0};
+  committed_(x, y) = 1;
 }
 
 Raster ExpandCanvas::crop(const Rect& r) const {
-  PP_REQUIRE(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= w_ && r.y1 <= h_);
-  PP_REQUIRE_MSG(!free_bands_ || r.y0 >= released_,
-                 "expand canvas crop below the freed release frontier");
-  Raster out(r.width(), r.height());
-  for (int y = r.y0; y < r.y1; ++y) {
-    const auto& row = rows_[static_cast<std::size_t>(y)];
-    for (int x = r.x0; x < r.x1; ++x)
-      out(x - r.x0, y - r.y0) = row[static_cast<std::size_t>(x)];
-  }
-  return out;
+  PP_REQUIRE(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= width() && r.y1 <= height());
+  return pixels_.crop(r);
 }
 
 Raster ExpandCanvas::committed_crop(const Rect& r) const {
-  PP_REQUIRE(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= w_ && r.y1 <= h_);
-  PP_REQUIRE_MSG(!free_bands_ || r.y0 >= released_,
-                 "expand canvas crop below the freed release frontier");
-  Raster out(r.width(), r.height());
-  for (int y = r.y0; y < r.y1; ++y) {
-    const auto& row = committed_[static_cast<std::size_t>(y)];
-    for (int x = r.x0; x < r.x1; ++x)
-      out(x - r.x0, y - r.y0) = row[static_cast<std::size_t>(x)];
-  }
-  return out;
-}
-
-void ExpandCanvas::set_band_sink(BandSink sink, bool free_bands) {
-  sink_ = std::move(sink);
-  free_bands_ = free_bands;
-}
-
-void ExpandCanvas::release_through(int y_end) {
-  y_end = std::min(y_end, h_);
-  if (y_end <= released_) return;
-  if (sink_) {
-    Raster band(w_, y_end - released_);
-    for (int y = released_; y < y_end; ++y) {
-      const auto& row = rows_[static_cast<std::size_t>(y)];
-      for (int x = 0; x < w_; ++x)
-        band(x, y - released_) = row[static_cast<std::size_t>(x)];
-    }
-    sink_(released_, band);
-  }
-  if (free_bands_) {
-    for (int y = released_; y < y_end; ++y) {
-      std::vector<std::uint8_t>().swap(rows_[static_cast<std::size_t>(y)]);
-      std::vector<std::uint8_t>().swap(
-          committed_[static_cast<std::size_t>(y)]);
-    }
-  }
-  released_ = y_end;
-}
-
-Raster ExpandCanvas::snapshot() const {
-  PP_REQUIRE_MSG(!free_bands_ || released_ == 0,
-                 "expand canvas snapshot after rows were freed");
-  return crop(Rect{0, 0, w_, h_});
+  PP_REQUIRE(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= width() && r.y1 <= height());
+  return committed_.crop(r);
 }
 
 }  // namespace pp::expand

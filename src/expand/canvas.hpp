@@ -1,23 +1,12 @@
-// Bounded-memory expansion canvas.
+// Expansion canvas.
 //
-// The canvas stores one byte row per canvas row plus a parallel
-// committed-pixel bitmap. Committed content is immutable: a pixel is
-// written exactly once (by the unique window that covers it freshly — see
-// plan.hpp, disjoint-commit invariant) and every later window only reads it
-// as conditioning.
-//
-// Row-band release keeps memory bounded at full-chip scale: once the
-// scheduler knows no future window can touch rows [released, frontier) —
-// i.e. frontier = min y0 over all uncommitted windows — it releases the
-// band to an optional BandSink (streaming PGM / ASCII-GDS export) and, when
-// `free_bands` is set, frees the row storage. Reads below the release
-// frontier are a programming error after freeing (windows only ever read
-// rows >= frontier, by construction of the release rule).
+// The canvas is a byte raster plus a parallel committed-pixel bitmap.
+// Committed content is immutable: a pixel is written exactly once (by the
+// unique window that covers it freshly — see plan.hpp, disjoint-commit
+// invariant) and every later window only reads it as conditioning.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "geometry/raster.hpp"
 
@@ -25,22 +14,14 @@ namespace pp::expand {
 
 class ExpandCanvas {
  public:
-  /// Receives each finalized row band exactly once, in top-to-bottom order:
-  /// `y0` is the band's first canvas row, `band` is target_w wide.
-  using BandSink = std::function<void(int y0, const Raster& band)>;
-
   ExpandCanvas(int width, int height);
 
-  int width() const { return w_; }
-  int height() const { return h_; }
+  int width() const { return pixels_.width(); }
+  int height() const { return pixels_.height(); }
 
   /// Pastes the seed at the top-left and marks its pixels committed.
   void place_seed(const Raster& seed);
 
-  bool is_committed(int x, int y) const {
-    return committed_[static_cast<std::size_t>(y)]
-                     [static_cast<std::size_t>(x)] != 0;
-  }
   /// Writes one pixel and marks it committed. Committed pixels must never
   /// be rewritten (throws pp::Error).
   void commit(int x, int y, std::uint8_t v);
@@ -50,25 +31,12 @@ class ExpandCanvas {
   /// 1 = committed, per pixel of the rect.
   Raster committed_crop(const Rect& r) const;
 
-  void set_band_sink(BandSink sink, bool free_bands);
-
-  /// Emits rows [released, y_end) to the sink (if any) and frees them when
-  /// free_bands is set. No-op when y_end <= released.
-  void release_through(int y_end);
-  /// Releases every remaining row.
-  void finish() { release_through(h_); }
-  int released() const { return released_; }
-
-  /// Full canvas copy. Only valid while no rows have been freed.
-  Raster snapshot() const;
+  /// Full canvas copy.
+  Raster snapshot() const { return pixels_; }
 
  private:
-  int w_, h_;
-  int released_ = 0;
-  bool free_bands_ = false;
-  BandSink sink_;
-  std::vector<std::vector<std::uint8_t>> rows_;
-  std::vector<std::vector<std::uint8_t>> committed_;
+  Raster pixels_;
+  Raster committed_;
 };
 
 }  // namespace pp::expand

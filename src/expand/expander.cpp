@@ -1,7 +1,6 @@
 #include "expand/expander.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,26 +38,16 @@ WavefrontExpander::WavefrontExpander(PatternPaint& painter, const Raster& seed,
         const std::string problem = expand_request_problem(
             target_w, target_h, clip, seed.width(), seed.height());
         PP_REQUIRE_MSG(problem.empty(), problem);
-        return make_expand_plan(target_w, target_h, clip, cfg_.step_fraction);
+        return make_expand_plan(target_w, target_h, clip);
       }()),
       canvas_(target_w, target_h),
       checker_(painter.rules()),
       request_seed_(request_seed) {
-  canvas_.set_band_sink(cfg_.band_sink, cfg_.free_bands);
   canvas_.place_seed(seed);
   stats_.windows_total = static_cast<int>(plan_.windows.size());
   state_.assign(plan_.windows.size(), State::kPending);
   wave_remaining_ = 1;  // wave 0 is always the single window (0, 0)
   wave_start_ns_ = obs::trace_now_ns();
-}
-
-int WavefrontExpander::ready_count() const {
-  int n = 0;
-  for (const ExpandWindow& w : plan_.windows)
-    if (w.wave == wave_ &&
-        state_[static_cast<std::size_t>(w.index)] == State::kPending)
-      ++n;
-  return n;
 }
 
 std::vector<WindowWork> WavefrontExpander::acquire(int max_windows) {
@@ -147,25 +136,23 @@ void WavefrontExpander::commit_finished(const WindowWork& work,
   ++stats_.windows_generated;
   expand_metrics().windows.add(1);
 
-  if (cfg_.drc_windows) {
-    const Rect window{w.x0, w.y0, w.x0 + plan_.clip, w.y0 + plan_.clip};
-    const DrcResult drc = checker_.check(canvas_.crop(window));
-    ++stats_.drc_checked;
-    if (drc.clean()) ++stats_.drc_clean;
-    stats_.total_violations += drc.violations.size();
-    for (const Violation& v : drc.violations) {
-      // A seam violation spans old and new content: its region holds at
-      // least one previously-committed pixel and one fresh pixel.
-      bool touches_old = false, touches_new = false;
-      for (int y = std::max(0, v.region.y0);
-           y < std::min(plan_.clip, v.region.y1); ++y)
-        for (int x = std::max(0, v.region.x0);
-             x < std::min(plan_.clip, v.region.x1); ++x)
-          (work.mask(x, y) ? touches_new : touches_old) = true;
-      if (touches_old && touches_new) {
-        ++stats_.seam_violations;
-        expand_metrics().seam_violations.add(1);
-      }
+  const Rect window{w.x0, w.y0, w.x0 + plan_.clip, w.y0 + plan_.clip};
+  const DrcResult drc = checker_.check(canvas_.crop(window));
+  ++stats_.drc_checked;
+  if (drc.clean()) ++stats_.drc_clean;
+  stats_.total_violations += drc.violations.size();
+  for (const Violation& v : drc.violations) {
+    // A seam violation spans old and new content: its region holds at
+    // least one previously-committed pixel and one fresh pixel.
+    bool touches_old = false, touches_new = false;
+    for (int y = std::max(0, v.region.y0);
+         y < std::min(plan_.clip, v.region.y1); ++y)
+      for (int x = std::max(0, v.region.x0);
+           x < std::min(plan_.clip, v.region.x1); ++x)
+        (work.mask(x, y) ? touches_new : touches_old) = true;
+    if (touches_old && touches_new) {
+      ++stats_.seam_violations;
+      expand_metrics().seam_violations.add(1);
     }
   }
 
@@ -189,24 +176,11 @@ void WavefrontExpander::mark_committed(std::size_t index) {
   wave_remaining_ = 0;
   for (const ExpandWindow& w : plan_.windows)
     if (w.wave == wave_) ++wave_remaining_;
-  advance_frontier();
 }
 
-void WavefrontExpander::advance_frontier() {
-  // Rows strictly above every uncommitted window's y0 are final: no future
-  // window can touch them, so the band is released (streamed / freed).
-  int frontier = plan_.target_h;
-  for (const ExpandWindow& w : plan_.windows)
-    if (state_[static_cast<std::size_t>(w.index)] != State::kCommitted)
-      frontier = std::min(frontier, w.y0);
-  canvas_.release_through(frontier);
-}
-
-Raster WavefrontExpander::take_canvas() {
+Raster WavefrontExpander::take_canvas() const {
   PP_REQUIRE_MSG(done(), "expand canvas taken before every window committed");
-  Raster out = cfg_.free_bands ? Raster() : canvas_.snapshot();
-  canvas_.finish();
-  return out;
+  return canvas_.snapshot();
 }
 
 WindowBatch stack_windows(const std::vector<WindowWork>& works) {
@@ -237,7 +211,7 @@ ExpandResult expand_layout(PatternPaint& painter, const Raster& seed,
     std::vector<WindowWork> works = ex.acquire(batch_limit);
     PP_REQUIRE_MSG(!works.empty() || ex.done(),
                    "expand wave stalled with windows in flight");
-    if (works.empty()) continue;  // wave fully skipped, frontier advanced
+    if (works.empty()) continue;  // wave fully skipped, next wave is ready
     const WindowBatch in = stack_windows(works);
     const nn::Tensor out =
         model.inpaint(in.known, in.mask, in.bases, cfg.sampler);

@@ -39,18 +39,10 @@
 namespace pp::expand {
 
 struct ExpandConfig {
-  /// Window stride as a fraction of the clip (0.5 = 50% overlap).
-  double step_fraction = 0.5;
   /// Template-denoise each window against its pre-inpaint content.
   bool denoise_windows = true;
-  /// DRC-check each committed window crop (stats + seam counters).
-  bool drc_windows = true;
   /// Per-request sampler schedule (0 / -1 = model defaults).
   SamplerParams sampler{};
-  /// Streaming export: finalized row bands, top-to-bottom.
-  ExpandCanvas::BandSink band_sink;
-  /// Free released row bands (bounded memory; snapshot() unavailable).
-  bool free_bands = false;
 };
 
 /// Cumulative progress/quality counters of one expansion.
@@ -104,10 +96,6 @@ class WavefrontExpander {
 
   /// All windows committed.
   bool done() const { return committed_windows_ == stats_.windows_total; }
-  /// Wave currently being generated (== waves completed so far).
-  int current_wave() const { return wave_; }
-  /// Windows of the current wave available to acquire right now.
-  int ready_count() const;
 
   /// Hands out up to `max_windows` (0 = no cap) un-acquired windows of the
   /// current wave. Windows with no uncommitted pixels commit instantly as
@@ -118,7 +106,7 @@ class WavefrontExpander {
   /// Folds one generated window back in: template-denoise against
   /// work.known (when configured), commit exactly the masked pixels, DRC
   /// the committed window crop, update stats, and — when the wave drains —
-  /// advance the wavefront and release finalized row bands.
+  /// advance the wavefront.
   void commit(const WindowWork& work, const Raster& raw);
 
   /// Batch variant: one finish_samples call over the works (bitwise
@@ -126,15 +114,14 @@ class WavefrontExpander {
   void commit_batch(const std::vector<WindowWork>& works,
                     const std::vector<Raster>& raws);
 
-  /// Final canvas (requires free_bands off). Flushes the band sink.
-  Raster take_canvas();
+  /// Final canvas (requires every window committed).
+  Raster take_canvas() const;
 
  private:
   enum class State : std::uint8_t { kPending, kAcquired, kCommitted };
 
   void commit_finished(const WindowWork& work, const Raster& finished);
   void mark_committed(std::size_t index);
-  void advance_frontier();
 
   PatternPaint& painter_;
   ExpandConfig cfg_;
@@ -152,13 +139,13 @@ class WavefrontExpander {
 
 /// Result of a full in-process expansion.
 struct ExpandResult {
-  Raster canvas;  ///< empty when free_bands was set
+  Raster canvas;
   ExpandStats stats;
 };
 
 /// Runs a whole expansion in-process. The seed is placed top-left and the
 /// target must be at least one clip on each edge, the seed at most one clip
-/// (throws pp::Error otherwise, as does an out-of-domain step_fraction).
+/// (throws pp::Error otherwise).
 /// `batch_limit` caps how many windows feed one Ddpm::inpaint call: 0 =
 /// whole waves (wavefront execution), 1 = strictly sequential, one window
 /// per model call in row-major wave order. Every limit produces a

@@ -26,6 +26,10 @@ std::string expand_request_problem(int target_w, int target_h, int clip,
   if (target_w <= 0 || target_h <= 0)
     return "expand target dimensions must be positive (got " +
            std::to_string(target_w) + "x" + std::to_string(target_h) + ")";
+  if (target_w > kMaxCanvasEdge || target_h > kMaxCanvasEdge)
+    return "expand target edge must be at most " +
+           std::to_string(kMaxCanvasEdge) + " (got " +
+           std::to_string(target_w) + "x" + std::to_string(target_h) + ")";
   if (target_w < clip || target_h < clip)
     return "expand target must be at least the clip size (" +
            std::to_string(clip) + "x" + std::to_string(clip) + ")";
@@ -36,20 +40,17 @@ std::string expand_request_problem(int target_w, int target_h, int clip,
   return "";
 }
 
-ExpandPlan make_expand_plan(int target_w, int target_h, int clip,
-                            double step_fraction) {
+ExpandPlan make_expand_plan(int target_w, int target_h, int clip) {
   PP_REQUIRE_MSG(clip > 0, "expand clip size must be positive");
   const std::string problem =
       expand_request_problem(target_w, target_h, clip, 0, 0);
   PP_REQUIRE_MSG(problem.empty(), problem);
-  PP_REQUIRE_MSG(step_fraction > 0 && step_fraction <= 1.0,
-                 "expand step_fraction must be in (0, 1]");
 
   ExpandPlan plan;
   plan.target_w = target_w;
   plan.target_h = target_h;
   plan.clip = clip;
-  plan.stride = std::max(4, static_cast<int>(clip * step_fraction));
+  plan.stride = std::max(4, clip / 2);
   plan.xs = window_origins(target_w, clip, plan.stride);
   plan.ys = window_origins(target_h, clip, plan.stride);
   plan.nx = static_cast<int>(plan.xs.size());

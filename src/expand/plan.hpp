@@ -55,6 +55,12 @@ struct ExpandPlan {
   }
 };
 
+/// Largest canvas edge an expansion may ask for. It bounds the canvas
+/// allocation and the executor time of one request, far above any clip
+/// size; every entry point (library, serve, CLI) enforces it through
+/// expand_request_problem.
+inline constexpr int kMaxCanvasEdge = 4096;
+
 /// Validates an expansion request against the model clip. Returns an empty
 /// string when acceptable, else a human-readable reason — shared verbatim
 /// between the library path (typed pp::Error) and serve admission
@@ -62,11 +68,8 @@ struct ExpandPlan {
 std::string expand_request_problem(int target_w, int target_h, int clip,
                                    int seed_w, int seed_h);
 
-/// Builds the plan. `step_fraction` in (0, 1] sets the stride as a fraction
-/// of the clip (0.5 = 50% overlap, clamped to a minimum stride of 4).
-/// Throws pp::Error on non-positive targets, targets smaller than the clip,
-/// or an out-of-domain step_fraction.
-ExpandPlan make_expand_plan(int target_w, int target_h, int clip,
-                            double step_fraction = 0.5);
+/// Builds the plan. The stride is half a clip (50% overlap), at least 4.
+/// Throws pp::Error on any request expand_request_problem rejects.
+ExpandPlan make_expand_plan(int target_w, int target_h, int clip);
 
 }  // namespace pp::expand

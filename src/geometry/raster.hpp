@@ -78,7 +78,7 @@ class Raster {
   /// Transposes rows and columns (used to share horizontal/vertical checks).
   Raster transposed() const;
 
-  /// Mirrors (used by pattern augmentation).
+  /// Mirrors about the vertical and the horizontal axis.
   Raster flipped_horizontal() const;
   Raster flipped_vertical() const;
 

@@ -93,6 +93,7 @@ std::vector<Raster> read_gds_text(const std::string& path) {
   bool saw_header = false;
   Raster current;
   bool in_struct = false;
+  std::uint64_t total_pixels = 0;
   while (std::getline(in, line)) {
     std::istringstream row(line);
     std::string kw;
@@ -109,8 +110,14 @@ std::vector<Raster> read_gds_text(const std::string& path) {
       PP_REQUIRE_MSG(wpos != std::string::npos && hpos != std::string::npos &&
                          hpos > wpos,
                      "GDS structure name lacks _w/_h dimensions: " + name);
-      current = Raster(parse_dim(name, wpos + 2, hpos),
-                       parse_dim(name, hpos + 2, name.size()));
+      const int w = parse_dim(name, wpos + 2, hpos);
+      const int h = parse_dim(name, hpos + 2, name.size());
+      total_pixels += static_cast<std::uint64_t>(w) * h;
+      PP_REQUIRE_MSG(total_pixels <= kMaxGdsTotalPixels,
+                     "GDS structures declare more than " +
+                         std::to_string(kMaxGdsTotalPixels) +
+                         " pixels in total in " + path);
+      current = Raster(w, h);
       in_struct = true;
     } else if (kw == "XY") {
       PP_REQUIRE_MSG(in_struct, "XY outside a structure in " + path);

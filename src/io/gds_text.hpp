@@ -11,6 +11,7 @@
 // so clips exported by other tools import correctly too.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,10 +19,16 @@
 
 namespace pp {
 
-/// Largest clip side read_gds_text accepts: the largest canvas
-/// `ppaint_cli expand` and the server write. A structure name that declares
-/// more is a pp::Error before any raster is allocated.
+/// Largest clip side read_gds_text accepts. It is at least the largest
+/// expansion canvas (expand::kMaxCanvasEdge; ppaint_cli static_asserts it),
+/// so a canvas written by `ppaint_cli expand` reads back. A structure name
+/// that declares more is a pp::Error before any raster is allocated.
 inline constexpr int kMaxGdsClipEdge = 4096;
+
+/// Largest total of pixels the structures of one file may declare (four
+/// 4096^2 canvases), so a short file cannot ask for gigabytes. The structure
+/// that crosses it is a pp::Error before its raster is allocated.
+inline constexpr std::uint64_t kMaxGdsTotalPixels = std::uint64_t{1} << 26;
 
 struct GdsTextOptions {
   int layer = 10;
@@ -36,7 +43,7 @@ void write_gds_text(const std::vector<Raster>& patterns,
 /// Reads a library previously written by write_gds_text (or compatible
 /// ASCII GDS with rectilinear boundaries and encoded structure names).
 /// Throws pp::Error on parse errors, including a side above
-/// kMaxGdsClipEdge.
+/// kMaxGdsClipEdge or a pixel total above kMaxGdsTotalPixels.
 std::vector<Raster> read_gds_text(const std::string& path);
 
 /// Rasterizes one closed rectilinear polygon (vertices in pixel corner

@@ -9,10 +9,6 @@
 
 namespace pp {
 
-namespace {
-
-/// Bytes between the read position and the end of the file (0 when the
-/// stream cannot seek, so an unbounded header is rejected, not trusted).
 std::uint64_t bytes_left(std::istream& in) {
   const std::streampos here = in.tellg();
   in.seekg(0, std::ios::end);
@@ -21,8 +17,6 @@ std::uint64_t bytes_left(std::istream& in) {
   if (here < 0 || end < here || !in.good()) return 0;
   return static_cast<std::uint64_t>(end - here);
 }
-
-}  // namespace
 
 void write_pgm(const Raster& r, const std::string& path, int scale) {
   PP_REQUIRE(scale >= 1);

@@ -1,9 +1,11 @@
 #include "io/pattern_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "io/image_io.hpp"
 
 namespace pp {
 
@@ -36,8 +38,9 @@ std::vector<Raster> load_pattern_library(const std::string& path) {
     is >> kw >> count;
     PP_REQUIRE_MSG(kw == "count", "bad count line in " + path);
   }
+  // No reserve: `count` is outside input, checked only against the
+  // patterns actually read.
   std::vector<Raster> out;
-  out.reserve(count);
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream is(line);
@@ -47,6 +50,15 @@ std::vector<Raster> load_pattern_library(const std::string& path) {
     is >> kw >> idx >> w >> h;
     PP_REQUIRE_MSG(kw == "pattern" && !is.fail() && w > 0 && h > 0,
                    "bad pattern header in " + path);
+    // Bound the header by the file before allocating w x h: the rows take
+    // w bytes each and a newline between them.
+    const std::uint64_t need = (w + std::uint64_t{1}) * h - 1;
+    const std::uint64_t left = bytes_left(in);
+    PP_REQUIRE_MSG(need <= left, "pattern " + std::to_string(idx) +
+                                     " declares " + std::to_string(w) + "x" +
+                                     std::to_string(h) + " pixels but " +
+                                     std::to_string(left) +
+                                     " bytes follow in " + path);
     Raster r(w, h);
     for (int y = 0; y < h; ++y) {
       PP_REQUIRE_MSG(static_cast<bool>(std::getline(in, line)),

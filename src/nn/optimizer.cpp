@@ -6,31 +6,6 @@
 
 namespace pp::nn {
 
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  PP_REQUIRE(lr > 0);
-  for (const auto& p : params_) {
-    PP_REQUIRE_MSG(p && p->requires_grad, "Sgd: non-trainable parameter");
-    velocity_.push_back(p->value.zeros_like());
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Node& p = *params_[i];
-    if (!p.has_grad()) continue;
-    if (momentum_ > 0) {
-      Tensor& v = velocity_[i];
-      for (std::size_t k = 0; k < v.numel(); ++k) {
-        v[k] = momentum_ * v[k] + p.grad[k];
-        p.value[k] -= lr_ * v[k];
-      }
-    } else {
-      p.value.add_scaled(p.grad, -lr_);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
     : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
@@ -61,43 +36,6 @@ void Adam::step() {
       p.value[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
-}
-
-Ema::Ema(std::vector<Var> params, float decay)
-    : params_(std::move(params)), decay_(decay) {
-  PP_REQUIRE(decay > 0 && decay < 1);
-  for (const auto& p : params_) {
-    PP_REQUIRE_MSG(p != nullptr, "Ema: null parameter");
-    shadow_.push_back(p->value);  // initialize at the current weights
-  }
-}
-
-void Ema::update() {
-  PP_REQUIRE_MSG(!applied_, "Ema::update while EMA weights are applied");
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& s = shadow_[i];
-    const Tensor& v = params_[i]->value;
-    for (std::size_t k = 0; k < s.numel(); ++k)
-      s[k] = decay_ * s[k] + (1.0f - decay_) * v[k];
-  }
-}
-
-void Ema::apply() {
-  PP_REQUIRE_MSG(!applied_, "Ema::apply called twice");
-  stash_.clear();
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    stash_.push_back(params_[i]->value);
-    params_[i]->value = shadow_[i];
-  }
-  applied_ = true;
-}
-
-void Ema::restore() {
-  PP_REQUIRE_MSG(applied_, "Ema::restore without apply");
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i]->value = stash_[i];
-  stash_.clear();
-  applied_ = false;
 }
 
 }  // namespace pp::nn

@@ -1,4 +1,4 @@
-// Optimizers for the from-scratch NN library.
+// The optimizer of the from-scratch NN library.
 #pragma once
 
 #include <vector>
@@ -6,23 +6,6 @@
 #include "nn/autograd.hpp"
 
 namespace pp::nn {
-
-/// Plain SGD with optional momentum; used by tests and toy fits.
-class Sgd {
- public:
-  explicit Sgd(std::vector<Var> params, float lr, float momentum = 0.0f);
-
-  void step();
-  void zero_grad() { nn::zero_grad(params_); }
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  std::vector<Var> params_;
-  std::vector<Tensor> velocity_;
-  float lr_;
-  float momentum_;
-};
 
 /// Adam (Kingma & Ba) with bias correction; the training optimizer for the
 /// diffusion model and both baselines.
@@ -33,8 +16,6 @@ class Adam {
 
   void step();
   void zero_grad() { nn::zero_grad(params_); }
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
   long long steps_taken() const { return t_; }
 
  private:
@@ -42,31 +23,6 @@ class Adam {
   std::vector<Tensor> m_, v_;
   float lr_, beta1_, beta2_, eps_;
   long long t_ = 0;
-};
-
-/// Exponential moving average of parameters (the standard DDPM trick:
-/// sample from the EMA weights, train on the raw ones).
-///
-/// Usage: call update() after every optimizer step; apply() swaps the EMA
-/// weights into the live parameters (stashing the raw ones); restore()
-/// swaps back. apply()/restore() must alternate.
-class Ema {
- public:
-  explicit Ema(std::vector<Var> params, float decay = 0.999f);
-
-  void update();
-  void apply();
-  void restore();
-  bool applied() const { return applied_; }
-  float decay() const { return decay_; }
-  const std::vector<Tensor>& shadow() const { return shadow_; }
-
- private:
-  std::vector<Var> params_;
-  std::vector<Tensor> shadow_;
-  std::vector<Tensor> stash_;
-  float decay_;
-  bool applied_ = false;
 };
 
 }  // namespace pp::nn

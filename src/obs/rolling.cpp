@@ -1,23 +1,20 @@
 #include "obs/rolling.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace pp::obs {
 
 RollingConfig RollingConfig::from_env() {
+  constexpr std::uint64_t kNsPerS = 1'000'000'000ull;
   RollingConfig cfg;
-  if (const char* env = std::getenv("PP_ROLL_WINDOW_S")) {
-    char* end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end != env && v > 0) {
-      v = std::clamp(v, 2.0, 3600.0);
-      cfg.long_window_ns = static_cast<std::uint64_t>(v * 1e9);
-    }
-  }
+  cfg.long_window_ns =
+      env_bounded("PP_ROLL_WINDOW_S", kMinRollWindowS, kMaxRollWindowS,
+                  cfg.long_window_ns / kNsPerS) *
+      kNsPerS;
   cfg.short_window_ns = std::min(cfg.short_window_ns, cfg.long_window_ns);
   return cfg;
 }

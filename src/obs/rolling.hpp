@@ -47,8 +47,13 @@ struct WindowStats {
   double window_s = 0.0;
 };
 
+/// Bounds of PP_ROLL_WINDOW_S, in whole seconds.
+inline constexpr std::uint64_t kMinRollWindowS = 2;
+inline constexpr std::uint64_t kMaxRollWindowS = 3600;
+
 /// Window sizing shared by every rolling view. `long_window_ns` honors
-/// PP_ROLL_WINDOW_S when built via from_env().
+/// PP_ROLL_WINDOW_S (obs::env_bounded; a malformed value keeps 60 s) when
+/// built via from_env().
 struct RollingConfig {
   std::uint64_t sub_ns = 1'000'000'000ull;         // sub-window: 1 s
   std::uint64_t short_window_ns = 10'000'000'000ull;   // ~10 s

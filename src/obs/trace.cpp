@@ -1,14 +1,12 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
+#include "obs/env.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 
 namespace pp::obs {
 
@@ -29,16 +27,9 @@ struct RawEvent {
 };
 
 std::size_t buffer_capacity() {
-  static std::size_t cap = [] {
-    constexpr std::size_t kDefault = std::size_t{1} << 16;  // 2.5 MB/thread
-    const char* env = std::getenv("PP_TRACE_BUF");
-    if (!env) return kDefault;
-    if (std::size_t v = parse_trace_buf(env)) return v;
-    PP_LOG(Warn) << "PP_TRACE_BUF='" << env << "' is not an integer in ["
-                 << kMinTraceBufEvents << ", " << kMaxTraceBufEvents
-                 << "]; using " << kDefault << " events";
-    return kDefault;
-  }();
+  static const std::size_t cap = env_bounded(
+      "PP_TRACE_BUF", kMinTraceBufEvents, kMaxTraceBufEvents,
+      std::size_t{1} << 16);  // default 2.5 MB/thread
   return cap;
 }
 
@@ -136,16 +127,6 @@ bool detail::init_trace_state() {
 
 void set_trace_enabled(bool on) {
   detail::g_trace_state.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::size_t parse_trace_buf(const char* s) {
-  const char* end = s + std::strlen(s);
-  std::size_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc() || ptr != end || v < kMinTraceBufEvents ||
-      v > kMaxTraceBufEvents)
-    return 0;
-  return v;
 }
 
 void reset_trace() {

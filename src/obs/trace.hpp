@@ -82,15 +82,11 @@ inline void record_flow_point(const char* name, std::uint64_t corr) {
 
 void set_trace_enabled(bool on);
 
-/// Bounds of PP_TRACE_BUF, in events per thread. An event takes 40 B, so
-/// the ceiling of 2^24 events is 640 MiB per thread.
+/// Bounds of PP_TRACE_BUF, in events per thread (obs::env_bounded; a
+/// malformed value keeps the default of 65536). An event takes 40 B, so the
+/// ceiling of 2^24 events is 640 MiB per thread.
 inline constexpr std::size_t kMinTraceBufEvents = 64;
 inline constexpr std::size_t kMaxTraceBufEvents = std::size_t{1} << 24;
-
-/// Parses a PP_TRACE_BUF value. The whole string must be a decimal integer
-/// in [kMinTraceBufEvents, kMaxTraceBufEvents]; anything else returns 0,
-/// and the buffer then keeps its default of 65536 events.
-std::size_t parse_trace_buf(const char* s);
 
 /// Clears every thread's buffer and the dropped counter. Only call while
 /// no thread is actively recording spans (buffers are written lock-free by

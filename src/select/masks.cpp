@@ -38,13 +38,4 @@ std::vector<Raster> all_masks(int width, int height) {
   return out;
 }
 
-MaskScheduler::MaskScheduler(MaskSet set, int width, int height)
-    : masks_(make_mask_set(set, width, height)) {}
-
-const Raster& MaskScheduler::next() {
-  const Raster& m = masks_[cursor_ % masks_.size()];
-  ++cursor_;
-  return m;
-}
-
 }  // namespace pp

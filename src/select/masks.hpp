@@ -27,20 +27,4 @@ std::vector<Raster> make_mask_set(MaskSet set, int width, int height);
 /// All ten masks: default set followed by horizontal set.
 std::vector<Raster> all_masks(int width, int height);
 
-/// Sequential mask schedule: next(i) returns the mask for the i-th visit of
-/// a pattern in its set (wraps around).
-class MaskScheduler {
- public:
-  MaskScheduler(MaskSet set, int width, int height);
-
-  const Raster& next();
-  const Raster& at(std::size_t i) const { return masks_[i % masks_.size()]; }
-  std::size_t size() const { return masks_.size(); }
-  void reset() { cursor_ = 0; }
-
- private:
-  std::vector<Raster> masks_;
-  std::size_t cursor_ = 0;
-};
-
 }  // namespace pp

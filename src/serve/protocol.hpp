@@ -23,11 +23,11 @@
 //            so the canvas is a pure function of the request, bitwise
 //            identical to the library path (expand::expand_layout).
 //            Bounds are admission-validated (positive targets >= clip,
-//            seed_raster <= clip, target edge <= 4096, count == 1 ->
-//            "bad_request"); cancellation takes effect at the next
-//            denoising-step boundary. The response adds {"expand":
-//            {"windows", "waves", "seam_violations", "drc_pass_rate",
-//            "target_w", "target_h"}}.
+//            seed_raster <= clip, target edge <= expand::kMaxCanvasEdge =
+//            4096, count == 1 -> "bad_request"); cancellation takes
+//            effect at the next denoising-step boundary. The response adds
+//            {"expand": {"windows", "waves", "seam_violations",
+//            "drc_pass_rate", "target_w", "target_h"}}.
 //
 // "count" (default 1) is the number of samples; it must lie in
 // [1, max_batch_samples] (the server's running-batch cap, 16 by default,

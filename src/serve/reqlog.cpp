@@ -1,10 +1,10 @@
 #include "serve/reqlog.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
+#include "obs/env.hpp"
 #include "obs/json.hpp"
 
 namespace pp::serve {
@@ -12,13 +12,9 @@ namespace pp::serve {
 RequestLogConfig RequestLogConfig::from_env() {
   RequestLogConfig cfg;
   if (const char* env = std::getenv("PP_REQLOG")) cfg.path = env;
-  if (const char* env = std::getenv("PP_REQLOG_ROTATE_BYTES")) {
-    char* end = nullptr;
-    long long v = std::strtoll(env, &end, 10);
-    if (end != env && v > 0)
-      cfg.rotate_bytes =
-          std::max<std::uint64_t>(static_cast<std::uint64_t>(v), 4096);
-  }
+  cfg.rotate_bytes = obs::env_bounded(
+      "PP_REQLOG_ROTATE_BYTES", kMinRotateBytes, kMaxRotateBytes,
+      cfg.rotate_bytes);
   return cfg;
 }
 

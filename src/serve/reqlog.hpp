@@ -13,7 +13,9 @@
 //
 // Configure with ServerConfig::request_log or the environment:
 //   PP_REQLOG              path ("" = disabled)
-//   PP_REQLOG_ROTATE_BYTES rotation threshold (default 4 MiB, min 4 KiB)
+//   PP_REQLOG_ROTATE_BYTES rotation threshold, a whole number of bytes in
+//                          [kMinRotateBytes, kMaxRotateBytes] (default
+//                          4 MiB; anything else warns and keeps it)
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,10 @@ class Json;
 }
 
 namespace pp::serve {
+
+/// Bounds of PP_REQLOG_ROTATE_BYTES: 4 KiB to 1 TiB.
+inline constexpr std::uint64_t kMinRotateBytes = 4096;
+inline constexpr std::uint64_t kMaxRotateBytes = 1ull << 40;
 
 struct RequestLogConfig {
   std::string path;  ///< empty = logging disabled

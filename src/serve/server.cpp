@@ -67,10 +67,6 @@ const char* op_name(GenRequest::Op op) {
   }
 }
 
-/// Serve-side ceiling on one expansion edge: bounds executor occupancy and
-/// response size (the canvas travels as ASCII), far above any clip size.
-constexpr int kMaxExpandEdge = 4096;
-
 /// Wide-event outcome taxonomy: every request story ends in exactly one of
 /// ok / rejected (never ran) / timeout / cancelled / error.
 const char* outcome_name(ErrorCode code) {
@@ -159,7 +155,7 @@ GenerationServer::GenerationServer(std::shared_ptr<ModelRegistry> registry,
 GenerationServer::~GenerationServer() {
   stop_hard_.store(true);
   draining_.store(true);
-  for (auto& sh : shards_) sh->cv.notify_all();
+  wake_executors();
   for (auto& sh : shards_)
     if (sh->worker.joinable()) sh->worker.join();
   // Fail whatever is still queued (workers never started, or hard stop).
@@ -200,9 +196,20 @@ void GenerationServer::shutdown() {
       }
     }
   }
-  for (auto& sh : shards_) sh->cv.notify_all();
+  wake_executors();
   for (auto& sh : shards_)
     if (sh->worker.joinable()) sh->worker.join();
+}
+
+void GenerationServer::wake_executors() {
+  // The flags are written without the shard mutex, so notify under it: a
+  // worker that read the old value holds sh->m until it sleeps in cv.wait,
+  // and a notify without the mutex could land in between and be lost,
+  // leaving shutdown() joining a worker that never wakes.
+  for (auto& sh : shards_) {
+    std::lock_guard<std::mutex> lk(sh->m);
+    sh->cv.notify_all();
+  }
 }
 
 bool GenerationServer::expired(const PendingPtr& p, Clock::time_point now) {
@@ -321,12 +328,6 @@ void GenerationServer::submit(GenRequest req,
     if (req.count != 1) {
       reject(ErrorCode::kBadRequest,
              "expand produces exactly one canvas (count must be 1)");
-      return;
-    }
-    if (req.target_w > kMaxExpandEdge || req.target_h > kMaxExpandEdge) {
-      reject(ErrorCode::kBadRequest,
-             "expand target edge exceeds the serve limit (" +
-                 std::to_string(kMaxExpandEdge) + ")");
       return;
     }
     const std::string problem = expand::expand_request_problem(

@@ -190,6 +190,8 @@ class GenerationServer {
   Shard& shard_for(const ModelRegistry::Entry* entry);
   /// Step-level continuous-batching executor (see class comment).
   void worker_loop(Shard& sh);
+  /// Wakes every executor after draining_ or stop_hard_ changed.
+  void wake_executors();
   void finish_response(const PendingPtr& p, GenResponse resp);
   /// One wide-event line for an admission reject (accepted requests log
   /// from finish_response).

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 
@@ -62,35 +61,21 @@ namespace {
 
 /// Shared, mutex-serialized response sink over one fd. Held via shared_ptr
 /// by every in-flight generation callback so late executor-thread
-/// completions stay valid even while serve_stream is draining. Tracks
-/// outstanding async responses so a closing connection can wait for its
-/// own work. (The epoll tier uses its own nonblocking sink; this one is
-/// for the pipe / thread-per-stream paths where a blocking write is fine.)
+/// completions stay valid even while serve_stream is draining. No
+/// outstanding count: serve_stream ends with GenerationServer::shutdown,
+/// which joins the executors after they ran every completion callback.
+/// (The epoll tier uses its own nonblocking sink; this one is for the pipe
+/// path, where a blocking write is fine.)
 struct ResponseWriter : ResponseSink {
   explicit ResponseWriter(int fd) : fd(fd) {}
   void write(const obs::Json& j) override {
     std::lock_guard<std::mutex> lk(m);
-    if (!write_line_fd(fd, j.dump())) failed = true;
+    write_line_fd(fd, j.dump());
   }
-  void begin_async() override {
-    std::lock_guard<std::mutex> lk(m);
-    ++outstanding;
-  }
-  void end_async(const obs::Json& j) override {
-    std::lock_guard<std::mutex> lk(m);
-    if (!write_line_fd(fd, j.dump())) failed = true;
-    --outstanding;
-    idle.notify_all();
-  }
-  void wait_idle() {
-    std::unique_lock<std::mutex> lk(m);
-    idle.wait(lk, [this] { return outstanding == 0; });
-  }
+  void begin_async() override {}
+  void end_async(const obs::Json& j) override { write(j); }
   int fd;
   std::mutex m;
-  std::condition_variable idle;
-  int outstanding = 0;
-  bool failed = false;
 };
 
 obs::Json error_response(std::uint64_t id, ErrorCode code,
@@ -235,8 +220,7 @@ StreamResult serve_stream(int in_fd, int out_fd, GenerationServer& server,
 
   // Graceful drain: every accepted request's response is written (from the
   // executor thread) before the loop returns; the shutdown ack goes last.
-  if (shutdown_requested || opt.shutdown_on_eof) server.shutdown();
-  writer->wait_idle();
+  server.shutdown();
   if (shutdown_requested) writer->write(shutdown_ack(shutdown_id));
   return {handled, shutdown_requested};
 }

@@ -1,6 +1,6 @@
 // NDJSON transport over file descriptors — the one request-dispatch path
-// behind the pipe (stdin/stdout) mode, each Unix-domain-socket connection
-// and the epoll network tier (serve/net.hpp), so tests and CI exercise the
+// behind the pipe (stdin/stdout) mode and the epoll network tier
+// (serve/net.hpp: Unix-domain socket and TCP), so tests and CI exercise the
 // real server path without any networking.
 //
 // serve_stream reads one JSON request per line from `in_fd` until EOF or a
@@ -30,10 +30,6 @@ namespace pp::serve {
 struct TransportOptions {
   bool allow_load = true;      ///< permit "load" (model registration) ops
   bool allow_shutdown = true;  ///< permit "shutdown" ops
-  /// Pipe mode: EOF drains the whole server. Socket connections set this
-  /// false — EOF only waits for THIS connection's in-flight responses, the
-  /// server keeps running for other connections.
-  bool shutdown_on_eof = true;
 };
 
 struct StreamResult {
@@ -74,11 +70,9 @@ DispatchResult dispatch_line(const std::string& line,
 /// Shutdown acknowledgement line ({"id":..,"ok":true,"draining":true}).
 obs::Json shutdown_ack(std::uint64_t id);
 
-/// Runs the request loop until EOF, a read error, or a shutdown op. Every
-/// accepted request's response is written before the call returns: on
-/// shutdown (or EOF with shutdown_on_eof) the server is fully drained;
-/// otherwise the call waits until this connection's outstanding requests
-/// complete.
+/// Runs the request loop until EOF, a read error, or a shutdown op, then
+/// drains the server (GenerationServer::shutdown): every accepted request's
+/// response is written before the call returns.
 StreamResult serve_stream(int in_fd, int out_fd, GenerationServer& server,
                           ModelRegistry& registry,
                           const TransportOptions& opt = {});

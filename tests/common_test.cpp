@@ -2,13 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <set>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "obs/env.hpp"
 
 namespace pp {
 namespace {
@@ -123,17 +122,6 @@ TEST(Rng, DrawSeedConsumesExactlyOneStep) {
   EXPECT_EQ(one_by_one, burst);
 }
 
-TEST(Rng, ShufflePreservesMultiset) {
-  Rng rng(17);
-  std::vector<int> v(50);
-  std::iota(v.begin(), v.end(), 0);
-  auto orig = v;
-  rng.shuffle(v);
-  std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(v, orig);  // 50! permutations; identity is essentially impossible
-}
-
 TEST(Rng, IndexRejectsZero) {
   Rng rng(3);
   EXPECT_THROW(rng.index(0), Error);
@@ -180,6 +168,10 @@ TEST(Parallel, ReentrantSequentialJobs) {
 
 // Strings only: a pool is never built at any of these widths.
 TEST(Parallel, ThreadCountParseIsStrictAndBounded) {
+  // PP_THREADS's bounds through the shared strict parser; 0 = rejected.
+  auto parse_thread_count = [](const char* s) {
+    return obs::parse_bounded(s, 1, kMaxPoolThreads).value_or(0);
+  };
   EXPECT_EQ(parse_thread_count("1"), 1u);
   EXPECT_EQ(parse_thread_count("256"), kMaxPoolThreads);
   EXPECT_EQ(parse_thread_count("257"), 0u);

@@ -275,9 +275,6 @@ TEST_F(MiniPipeline, OutpaintRejectsBadTargets) {
   Raster big(64, 64);
   // seed > clip
   EXPECT_THROW(expand::expand_layout(*pp_, big, 96, 96, 0), Error);
-  expand::ExpandConfig bad;
-  bad.step_fraction = 0.0;
-  EXPECT_THROW(expand::expand_layout(*pp_, seed, 64, 64, 0, bad), Error);
 }
 
 TEST(PatternPaintErrors, GuardsMisuse) {

@@ -372,57 +372,6 @@ TEST_P(CheckerSensitivity, DetectsPinholes) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CheckerSensitivity, ::testing::Range(0, 20));
 
-TEST(Checker, CornerSpacingCatchesDiagonalNearTouch) {
-  RuleSet rules = default_rules();
-  rules.min_corner_space = 6;
-  DrcChecker drc(rules);
-  // Two 8x8 squares touching corner-to-corner diagonally: axis-aligned
-  // spacing checks see nothing (no bounded space run between them), the
-  // corner rule must.
-  Raster r(40, 40);
-  r.fill_rect(Rect{4, 4, 12, 12}, 1);
-  r.fill_rect(Rect{13, 13, 21, 21}, 1);  // Chebyshev distance 1
-  DrcResult res = drc.check(r);
-  EXPECT_GT(res.count(RuleKind::kCornerSpace), 0);
-  // The same geometry passes when the rule is disabled (documenting the
-  // blind spot of run-based spacing).
-  EXPECT_TRUE(DrcChecker(default_rules()).is_clean(r));
-}
-
-TEST(Checker, CornerSpacingPassesWhenFarEnough) {
-  RuleSet rules = default_rules();
-  rules.min_corner_space = 4;
-  DrcChecker drc(rules);
-  Raster r(40, 40);
-  r.fill_rect(Rect{4, 4, 12, 12}, 1);
-  r.fill_rect(Rect{16, 16, 24, 24}, 1);  // Chebyshev distance 4 == limit
-  EXPECT_EQ(drc.check(r).count(RuleKind::kCornerSpace), 0);
-  r.fill_rect(Rect{16, 16, 24, 24}, 0);
-  r.fill_rect(Rect{14, 14, 22, 22}, 1);  // distance 2 < 4
-  EXPECT_GT(drc.check(r).count(RuleKind::kCornerSpace), 0);
-}
-
-TEST(Checker, CornerSpacingIgnoresSameComponent) {
-  RuleSet rules = default_rules();
-  rules.min_corner_space = 6;
-  rules.min_area = 0;
-  DrcChecker drc(rules);
-  // An L-shape has interior diagonal self-adjacency; one component, no
-  // corner violation.
-  Raster r(40, 40);
-  r.fill_rect(Rect{4, 4, 10, 30}, 1);
-  r.fill_rect(Rect{4, 24, 30, 30}, 1);
-  EXPECT_EQ(drc.check(r).count(RuleKind::kCornerSpace), 0);
-}
-
-TEST(Rules, ScaleDownScalesCornerSpace) {
-  RuleSet r = default_rules();
-  r.min_corner_space = 6;
-  EXPECT_EQ(scale_rules_down(r, 2).min_corner_space, 3);
-  RuleSet off = default_rules();
-  EXPECT_EQ(scale_rules_down(off, 2).min_corner_space, 0);
-}
-
 // Sensitivity: shaving one column off a discrete-width track must trip the
 // discrete-width rule.
 TEST(Checker, DetectsOffMenuWidthAfterShave) {

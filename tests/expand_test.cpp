@@ -1,7 +1,7 @@
 // Tier-1 tests for the expansion subsystem (src/expand): the tiling plan
 // and its dependency edges, the disjoint-commit determinism contract
 // (wavefront == sequential, bitwise), seam-aware window DRC idempotence,
-// bounded-memory band streaming, and the serve-side `expand` request type
+// the canvas edge cap, and the serve-side `expand` request type
 // (admission validation, the executor bitwise against the in-process
 // engine, cancellation without a cache insert).
 #include <algorithm>
@@ -113,43 +113,22 @@ TEST(ExpandPlan, ValidatorRejectsDegenerateRequests) {
   // The happy path.
   EXPECT_TRUE(expand_request_problem(64, 48, 32, 32, 32).empty());
   EXPECT_TRUE(expand_request_problem(32, 32, 32, 0, 0).empty());
+  // The one canvas edge cap, shared by the library, serve and the CLI.
+  EXPECT_FALSE(expand_request_problem(4097, 32, 32, 0, 0).empty());
+  EXPECT_FALSE(
+      expand_request_problem(32, kMaxCanvasEdge + 1, 32, 0, 0).empty());
+  EXPECT_TRUE(
+      expand_request_problem(kMaxCanvasEdge, kMaxCanvasEdge, 32, 0, 0)
+          .empty());
   // make_expand_plan enforces the same contract as a typed error.
   EXPECT_THROW(make_expand_plan(16, 64, 32), Error);
   EXPECT_THROW(make_expand_plan(0, 64, 32), Error);
   EXPECT_THROW(make_expand_plan(64, 64, 0), Error);
-  EXPECT_THROW(make_expand_plan(64, 64, 32, 0.0), Error);
+  EXPECT_THROW(make_expand_plan(kMaxCanvasEdge + 1, 64, 32), Error);
 }
 
 // ---------------------------------------------------------------------------
 // Canvas
-
-TEST(ExpandCanvas, BandSinkConcatenationMatchesSnapshot) {
-  const Raster seed = seed_raster(8, 8);
-  // Two canvases committed identically: one streams bands (and frees
-  // them), one keeps everything for a snapshot.
-  ExpandCanvas keep(16, 12);
-  ExpandCanvas stream(16, 12);
-  Raster reassembled(16, 12, 0);
-  stream.set_band_sink(
-      [&](int y0, const Raster& band) {
-        for (int y = 0; y < band.height(); ++y)
-          for (int x = 0; x < band.width(); ++x)
-            reassembled(x, y0 + y) = band(x, y);
-      },
-      /*free_bands=*/true);
-  for (ExpandCanvas* c : {&keep, &stream}) {
-    c->place_seed(seed);
-    for (int y = 0; y < 12; ++y)
-      for (int x = 0; x < 16; ++x)
-        if (x >= 8 || y >= 8) c->commit(x, y, (x + y) % 3 == 0);
-    c->release_through(12);
-    c->finish();
-  }
-  const Raster snap = keep.snapshot();
-  ASSERT_EQ(snap.width(), reassembled.width());
-  ASSERT_EQ(snap.height(), reassembled.height());
-  EXPECT_TRUE(snap == reassembled);
-}
 
 TEST(ExpandCanvas, DoubleCommitThrows) {
   ExpandCanvas c(8, 8);
@@ -189,6 +168,8 @@ TEST(Expander, WrapperValidatesSeedAndTargets) {
   EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 0, 64, 0), Error);
   EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 64, -1, 0), Error);
   EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 8, 64, 0), Error);
+  EXPECT_THROW(expand_layout(pp, seed_raster(8, 8), 64, kMaxCanvasEdge + 1, 0),
+               Error);
 }
 
 TEST(Expander, SeamDrcIsIdempotentAndRunInvariant) {
@@ -217,26 +198,6 @@ TEST(Expander, SeamDrcIsIdempotentAndRunInvariant) {
     recount += checker.check(crop).violations.size();
   }
   EXPECT_EQ(recount, a.stats.total_violations);
-}
-
-TEST(Expander, StreamedBandsReassembleTheSnapshotCanvas) {
-  auto registry = tiny_registry();
-  PatternPaint& pp = *registry->get("t")->pp;
-  const Raster seed = seed_raster(16, 16);
-
-  const ExpandResult whole = expand_layout(pp, seed, 40, 40, 12, {}, 0);
-
-  Raster reassembled(40, 40, 0);
-  ExpandConfig cfg;
-  cfg.free_bands = true;  // bounded memory: rows freed once released
-  cfg.band_sink = [&](int y0, const Raster& band) {
-    for (int y = 0; y < band.height(); ++y)
-      for (int x = 0; x < band.width(); ++x)
-        reassembled(x, y0 + y) = band(x, y);
-  };
-  const ExpandResult streamed = expand_layout(pp, seed, 40, 40, 12, cfg, 0);
-  EXPECT_EQ(streamed.canvas.width(), 0);  // freed, no snapshot
-  EXPECT_TRUE(reassembled == whole.canvas);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,8 +277,8 @@ TEST(ServeExpand, AdmissionRejectsMalformedExpansions) {
   expect_bad(expand_req(2, 0, 32), "zero width");
   expect_bad(expand_req(3, 32, -4), "negative height");
   expect_bad(expand_req(4, 8, 32), "target below clip");
-  expect_bad(expand_req(5, 5000, 32), "width over the serve limit");
-  expect_bad(expand_req(6, 32, 5000), "height over the serve limit");
+  expect_bad(expand_req(5, 5000, 32), "width over the canvas edge cap");
+  expect_bad(expand_req(6, 32, 5000), "height over the canvas edge cap");
   GenRequest big_seed = expand_req(7, 64, 64);
   big_seed.tmpl = seed_raster(20, 20);  // larger than the 16px clip
   expect_bad(std::move(big_seed), "seed over clip");

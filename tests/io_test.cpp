@@ -11,7 +11,6 @@
 #include "io/gds_text.hpp"
 #include "io/image_io.hpp"
 #include "io/pattern_io.hpp"
-#include "io/stream_export.hpp"
 
 namespace pp {
 namespace {
@@ -196,6 +195,27 @@ TEST_F(PatternIo, RejectsTruncatedPattern) {
   EXPECT_THROW(load_pattern_library(path("trunc.txt")), Error);
 }
 
+// Header numbers are outside input: a pattern's w x h is bounded by the
+// bytes left in the file before the raster is allocated, and `count` is
+// never used to reserve memory.
+TEST_F(PatternIo, RejectsDimensionsTheFileCannotHold) {
+  std::ofstream f(path("huge.txt"));
+  f << "PPLIB v1\ncount 1\npattern 0 4000 4000\n";
+  f.close();
+  try {
+    load_pattern_library(path("huge.txt"));
+    FAIL() << "expected pp::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("declares 4000x4000"),
+              std::string::npos)
+        << e.what();
+  }
+  std::ofstream g(path("count.txt"));
+  g << "PPLIB v1\ncount 18446744073709551615\npattern 0 2 1\n##\n";
+  g.close();
+  EXPECT_THROW(load_pattern_library(path("count.txt")), Error);
+}
+
 using GdsText = TempDir;
 
 TEST_F(GdsText, RoundTripRandomClips) {
@@ -290,67 +310,20 @@ TEST_F(GdsText, RejectsBadStructureDimensions) {
   EXPECT_EQ(clips[0].height(), kMaxGdsClipEdge);
 }
 
-using StreamExport = TempDir;
-
-TEST_F(StreamExport, PgmBandsAreByteIdenticalToWholeImageWrite) {
-  Rng rng(11);
-  Raster whole(20, 14, 0);
-  for (int y = 0; y < 14; ++y)
-    for (int x = 0; x < 20; ++x) whole(x, y) = rng.uniform() < 0.5 ? 1 : 0;
-  write_pgm(whole, path("whole.pgm"));
-
-  PgmStreamWriter w(path("bands.pgm"), 20, 14);
-  // Uneven band heights, as the expansion frontier releases them.
-  int y = 0;
-  for (int h : {3, 1, 6, 4}) {
-    w.write_band(whole.crop(Rect{0, y, 20, y + h}));
-    y += h;
-  }
-  w.close();
-
-  auto slurp = [](const std::string& f) {
-    std::ifstream in(f, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
+// The structures of one file may declare at most kMaxGdsTotalPixels in
+// total (four 4096^2 canvases); a fifth empty 4096^2 structure is a
+// pp::Error before its 16 MiB raster is allocated.
+TEST_F(GdsText, RejectsPixelTotalAboveTheCap) {
+  auto write_structs = [&](int n) {
+    std::ofstream f(path("many.gds"));
+    f << "HEADER 600\n";
+    for (int i = 0; i < n; ++i)
+      f << "BGNSTR\nSTRNAME e" << i << "_w4096_h4096\nENDSTR\n";
   };
-  EXPECT_EQ(slurp(path("bands.pgm")), slurp(path("whole.pgm")));
-}
-
-TEST_F(StreamExport, PgmStreamEnforcesShapeAndCompletion) {
-  PgmStreamWriter w(path("x.pgm"), 8, 8);
-  EXPECT_THROW(w.write_band(Raster(6, 2)), Error);   // width mismatch
-  w.write_band(Raster(8, 6));
-  EXPECT_THROW(w.write_band(Raster(8, 4)), Error);   // overflows height
-  EXPECT_THROW(w.close(), Error);                    // 2 rows missing
-}
-
-TEST_F(StreamExport, GdsBandsRoundTripThroughTheTextReader) {
-  Rng rng(12);
-  Raster whole(24, 18, 0);
-  for (int y = 0; y < 18; ++y)
-    for (int x = 0; x < 24; ++x) whole(x, y) = rng.uniform() < 0.3 ? 1 : 0;
-
-  GdsTextStreamWriter w(path("stream.gds"), 24, 18);
-  int y = 0;
-  for (int h : {5, 2, 8, 3}) {
-    w.write_band(y, whole.crop(Rect{0, y, 24, y + h}));
-    y += h;
-  }
-  w.close();
-
-  // Band-split rectangles rasterize back to the identical canvas, and the
-  // STRNAME carries the full canvas dims for the reader.
-  auto loaded = read_gds_text(path("stream.gds"));
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(loaded[0] == whole);
-}
-
-TEST_F(StreamExport, GdsBandsMustArriveInRowOrder) {
-  GdsTextStreamWriter w(path("ooo.gds"), 8, 8);
-  w.write_band(0, Raster(8, 4));
-  EXPECT_THROW(w.write_band(6, Raster(8, 2)), Error);  // gap
-  w.write_band(4, Raster(8, 4));
-  w.close();
+  write_structs(4);
+  EXPECT_EQ(read_gds_text(path("many.gds")).size(), 4u);
+  write_structs(5);
+  EXPECT_THROW(read_gds_text(path("many.gds")), Error);
 }
 
 TEST(FillPolygon, RectangleAndDonutHalves) {

@@ -388,40 +388,6 @@ TEST(GradCheck, Softmax) {
   check_gradients({x}, [&] { return mse_loss(softmax_lastdim(x), t); });
 }
 
-TEST(Ema, TracksAndSwapsWeights) {
-  Var p = make_param(Tensor::full({2}, 1.0f));
-  Ema ema({p}, 0.5f);
-  p->value.fill(3.0f);
-  ema.update();  // shadow = 0.5*1 + 0.5*3 = 2
-  EXPECT_FLOAT_EQ(ema.shadow()[0][0], 2.0f);
-  ema.apply();
-  EXPECT_FLOAT_EQ(p->value[0], 2.0f);  // live weights are now EMA
-  EXPECT_TRUE(ema.applied());
-  EXPECT_THROW(ema.update(), Error);   // guarded while applied
-  ema.restore();
-  EXPECT_FLOAT_EQ(p->value[0], 3.0f);  // raw weights back
-  EXPECT_THROW(ema.restore(), Error);
-}
-
-TEST(Ema, ConvergesToStationaryWeights) {
-  Var p = make_param(Tensor::full({1}, 5.0f));
-  Ema ema({p}, 0.9f);
-  for (int i = 0; i < 200; ++i) ema.update();
-  EXPECT_NEAR(ema.shadow()[0][0], 5.0f, 1e-4);
-  EXPECT_THROW(Ema({p}, 1.5f), Error);
-}
-
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  Var x = make_param(Tensor::full({4}, 10.0f));
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    backward(mean(mul(x, x)));
-    opt.step();
-  }
-  EXPECT_LT(x->value.max_abs(), 1e-2f);
-}
-
 TEST(Optimizer, AdamConvergesOnLinearRegression) {
   // Fit y = 3x - 2 from noisy samples.
   Rng rng(17);
@@ -449,7 +415,6 @@ TEST(Optimizer, AdamConvergesOnLinearRegression) {
 TEST(Optimizer, RejectsNonTrainableParams) {
   Var x = make_input(Tensor({2}));
   EXPECT_THROW(Adam({x}, 0.01f), Error);
-  EXPECT_THROW(Sgd({x}, 0.01f), Error);
 }
 
 TEST(Serialize, RoundTrip) {

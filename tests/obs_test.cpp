@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/env.hpp"
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -570,6 +572,11 @@ TEST_F(TraceTest, ChromeTraceWrittenAtomically) {
 }
 
 TEST(TraceBuf, ParseIsStrictAndBounded) {
+  // PP_TRACE_BUF's bounds through the shared strict parser; 0 = rejected.
+  auto parse_trace_buf = [](const char* s) {
+    return parse_bounded(s, kMinTraceBufEvents, kMaxTraceBufEvents)
+        .value_or(0);
+  };
   EXPECT_EQ(parse_trace_buf("64"), 64u);
   EXPECT_EQ(parse_trace_buf("65536"), 65536u);
   EXPECT_EQ(parse_trace_buf("1048576"), 1048576u);  // what ppbench sets
@@ -583,6 +590,35 @@ TEST(TraceBuf, ParseIsStrictAndBounded) {
   EXPECT_EQ(parse_trace_buf(" 4096"), 0u);
   EXPECT_EQ(parse_trace_buf("+4096"), 0u);
   EXPECT_EQ(parse_trace_buf(""), 0u);
+}
+
+// Strings and one env var: every numeric knob takes a whole decimal number
+// inside its bounds and nothing else, never a numeric prefix.
+TEST(EnvKnobs, ParseIsStrictAndBounded) {
+  for (const char* bad :
+       {"10MB", "1e7", "4abc", "0.5", "", "-1", "+8", " 8", "8 ",
+        "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_bounded(bad, 1, std::uint64_t{1} << 40))
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_bounded("1099511627776", 1, std::uint64_t{1} << 40),
+            std::uint64_t{1} << 40);
+  // PP_ROLL_WINDOW_S: [2, 3600] whole seconds, inclusive.
+  EXPECT_EQ(parse_bounded("2", kMinRollWindowS, kMaxRollWindowS), 2u);
+  EXPECT_EQ(parse_bounded("3600", kMinRollWindowS, kMaxRollWindowS), 3600u);
+  EXPECT_FALSE(parse_bounded("1", kMinRollWindowS, kMaxRollWindowS));
+  EXPECT_FALSE(parse_bounded("3601", kMinRollWindowS, kMaxRollWindowS));
+
+  // The knob itself: a malformed value keeps the 60 s default.
+  constexpr std::uint64_t kNsPerS = 1'000'000'000ull;
+  ASSERT_EQ(std::getenv("PP_ROLL_WINDOW_S"), nullptr);
+  for (const char* bad : {"0.5", "4abc", "7200"}) {
+    ::setenv("PP_ROLL_WINDOW_S", bad, 1);
+    EXPECT_EQ(RollingConfig::from_env().long_window_ns, 60 * kNsPerS) << bad;
+  }
+  ::setenv("PP_ROLL_WINDOW_S", "120", 1);
+  EXPECT_EQ(RollingConfig::from_env().long_window_ns, 120 * kNsPerS);
+  ::unsetenv("PP_ROLL_WINDOW_S");
 }
 
 TEST_F(TraceTest, CorrSpansAndFlowPointsPropagate) {

@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "drc/checker.hpp"
 #include "metrics/entropy.hpp"
-#include "patterngen/augment.hpp"
 #include "patterngen/random_clips.hpp"
 #include "patterngen/track_generator.hpp"
 
@@ -118,45 +117,6 @@ TEST(TrackGen, ClipConfigScalesMonotonically) {
   EXPECT_LT(c32.min_segment, c64.min_segment);
   EXPECT_LE(c32.max_gap, c64.max_gap);
   EXPECT_THROW(track_config_for_clip(8), Error);
-}
-
-TEST(Augment, MirrorsPreserveLegality) {
-  Rng rng(161);
-  RuleSet rules = advance_rules();
-  TrackPatternGenerator gen(TrackGenConfig{}, rules);
-  DrcChecker drc(rules);
-  auto clips = gen.generate(6, rng);
-  for (const auto& clip : clips)
-    for (const auto& aug : mirror_augment(clip)) {
-      EXPECT_TRUE(drc.is_clean(aug));
-    }
-}
-
-TEST(Augment, UpToFourDistinctImages) {
-  Raster asym = Raster::from_ascii(
-      "#..\n"
-      "#..\n"
-      "##.\n");
-  EXPECT_EQ(mirror_augment(asym).size(), 4u);
-  // Fully symmetric clip: only the identity remains.
-  Raster sym(4, 4);
-  sym.fill_rect(Rect{1, 1, 3, 3}, 1);
-  EXPECT_EQ(mirror_augment(sym).size(), 1u);
-  // A vertical bar in the centre is H- and V-symmetric.
-  Raster bar(5, 5);
-  bar.fill_rect(Rect{2, 0, 3, 5}, 1);
-  EXPECT_EQ(mirror_augment(bar).size(), 1u);
-}
-
-TEST(Augment, SetAugmentationKeepsOriginalsFirst) {
-  Raster a = Raster::from_ascii("#.\n..\n");
-  Raster b = Raster::from_ascii(".#\n..\n");  // = flip_h(a)
-  auto aug = mirror_augment(std::vector<Raster>{a, b});
-  ASSERT_GE(aug.size(), 2u);
-  EXPECT_EQ(aug[0], a);
-  EXPECT_EQ(aug[1], b);
-  // No duplicates anywhere.
-  EXPECT_EQ(count_unique(aug), aug.size());
 }
 
 TEST(ViolationMask, MarksRegions) {

@@ -219,21 +219,6 @@ TEST(Masks, HorizontalSetCoversImage) {
     }
 }
 
-TEST(Masks, SchedulerCyclesSequentially) {
-  MaskScheduler sched(MaskSet::kDefault, 16, 16);
-  ASSERT_EQ(sched.size(), 5u);
-  const Raster& m0 = sched.next();
-  sched.next();
-  sched.next();
-  sched.next();
-  sched.next();
-  const Raster& again = sched.next();  // 6th call wraps to mask 0
-  EXPECT_EQ(m0, again);
-  sched.reset();
-  EXPECT_EQ(sched.next(), m0);
-  EXPECT_EQ(sched.at(2), sched.at(7));
-}
-
 TEST(Masks, RejectsTinyCanvas) {
   EXPECT_THROW(make_mask_set(MaskSet::kDefault, 4, 4), Error);
 }

@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <map>
@@ -22,12 +24,14 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "diffusion/convert.hpp"
+#include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
+#include "serve/reqlog.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
 
@@ -548,6 +552,40 @@ TEST(Serve, GracefulDrainCompletesAccepted) {
   EXPECT_EQ(server.submit(sample_req(9, 9)).get().error, ErrorCode::kDraining);
 }
 
+// shutdown() straight after start() races each executor into its first
+// wait on the shard's condition variable; a wakeup lost there leaves
+// shutdown() joining a worker that never wakes. The race window is narrow,
+// so the test runs many rounds, and a watchdog turns a hang into a failure
+// (the hung worker cannot be joined, so the process exits).
+TEST(Serve, ShutdownRightAfterStartNeverHangs) {
+  auto registry = std::make_shared<ModelRegistry>();
+  constexpr int kRounds = 20000;
+  std::atomic<int> done{0};
+  std::thread rounds([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      GenerationServer server(registry);
+      server.start();
+      server.shutdown();
+      done.store(i + 1);
+    }
+  });
+  int seen = -1;
+  auto progress = std::chrono::steady_clock::now();
+  while (done.load() < kRounds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (const int d = done.load(); d != seen) {
+      seen = d;
+      progress = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - progress >
+               std::chrono::seconds(10)) {
+      std::fprintf(stderr, "shutdown hung after %d start/shutdown rounds\n",
+                   d);
+      std::_Exit(1);
+    }
+  }
+  rounds.join();
+}
+
 // Cancelling a queued request resolves it immediately; the rest proceed.
 TEST(Serve, CancelQueued) {
   auto registry = tiny_registry();
@@ -892,6 +930,25 @@ TEST(Serve, RequestLogRotation) {
   EXPECT_LE(active.size() + rotated.size(), 5u);
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
+}
+
+// PP_REQLOG_ROTATE_BYTES is a whole byte count in [4 KiB, 1 TiB]; anything
+// else keeps the 4 MiB default, so a unit suffix or an exponent cannot
+// shrink the log to its last few KiB.
+TEST(Serve, RequestLogRotateBytesEnvIsStrict) {
+  EXPECT_EQ(obs::parse_bounded("4096", kMinRotateBytes, kMaxRotateBytes),
+            4096u);
+  EXPECT_FALSE(obs::parse_bounded("4095", kMinRotateBytes, kMaxRotateBytes));
+  EXPECT_FALSE(
+      obs::parse_bounded("1099511627777", kMinRotateBytes, kMaxRotateBytes));
+  ASSERT_EQ(std::getenv("PP_REQLOG_ROTATE_BYTES"), nullptr);
+  for (const char* bad : {"10MB", "1e7", "4abc", "-1", "", "1024"}) {
+    ::setenv("PP_REQLOG_ROTATE_BYTES", bad, 1);
+    EXPECT_EQ(RequestLogConfig::from_env().rotate_bytes, 4ull << 20) << bad;
+  }
+  ::setenv("PP_REQLOG_ROTATE_BYTES", "10000000", 1);
+  EXPECT_EQ(RequestLogConfig::from_env().rotate_bytes, 10000000u);
+  ::unsetenv("PP_REQLOG_ROTATE_BYTES");
 }
 
 // Request-scoped tracing: each request's serve.request span carries
