@@ -111,16 +111,24 @@ std::string config_label(const std::string& preset, bool finetuned) {
 std::unique_ptr<PatternPaint> make_model(const std::string& preset,
                                          bool finetuned,
                                          const std::vector<Raster>& starters) {
-  PatternPaintConfig cfg = experiment_config(preset);
-  auto pp = std::make_unique<PatternPaint>(cfg, experiment_rules(),
-                                           /*seed=*/0xC0FFEE + (preset == "sd2"));
-  pp->pretrain(cache_dir() + "/pre_" + preset + ".bin");
-  if (finetuned) {
-    pp->finetune(starters, cache_dir() + "/ft_" + preset + ".bin");
-  } else {
-    pp->set_starters(starters);
-  }
-  return pp;
+  auto build = [&] {
+    auto pp = std::make_unique<PatternPaint>(
+        experiment_config(preset), experiment_rules(),
+        /*seed=*/0xC0FFEE + (preset == "sd2"));
+    pp->pretrain(cache_dir() + "/pre_" + preset + ".bin");
+    if (finetuned) {
+      pp->finetune(starters, cache_dir() + "/ft_" + preset + ".bin");
+    } else {
+      pp->set_starters(starters);
+    }
+    return pp;
+  };
+  // Training on a cold cache draws from the model's rng_, loading from a
+  // warm one does not. So fill the cache first, then hand back a fresh
+  // instance that loads it: the sampler starts from the same state either
+  // way, and save/load is exact, so the weights match too.
+  build();
+  return build();
 }
 
 namespace {

@@ -108,20 +108,6 @@ Raster Raster::transposed() const {
   return out;
 }
 
-Raster Raster::flipped_horizontal() const {
-  Raster out(width_, height_);
-  for (int y = 0; y < height_; ++y)
-    for (int x = 0; x < width_; ++x) out(width_ - 1 - x, y) = (*this)(x, y);
-  return out;
-}
-
-Raster Raster::flipped_vertical() const {
-  Raster out(width_, height_);
-  for (int y = 0; y < height_; ++y)
-    for (int x = 0; x < width_; ++x) out(x, height_ - 1 - y) = (*this)(x, y);
-  return out;
-}
-
 std::uint64_t Raster::hash() const {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {

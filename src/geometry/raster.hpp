@@ -78,10 +78,6 @@ class Raster {
   /// Transposes rows and columns (used to share horizontal/vertical checks).
   Raster transposed() const;
 
-  /// Mirrors about the vertical and the horizontal axis.
-  Raster flipped_horizontal() const;
-  Raster flipped_vertical() const;
-
   /// 64-bit content hash (FNV-1a over shape + pixels).
   std::uint64_t hash() const;
 

@@ -1,12 +1,43 @@
 #include "nn/tensor.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <cmath>
+#include <iostream>  // constructs std::cerr before the initializer below logs
 #include <sstream>
 
 #include "common/error.hpp"
 #include "nn/simd_kernels.hpp"
+#include "obs/log.hpp"
 
 namespace pp::nn {
+
+namespace {
+
+#ifdef __GLIBC__
+// Heap policy (DESIGN.md "Heap policy"). glibc's adaptive thresholds settle
+// at the largest block freed so far and trim the heap top at twice that,
+// while one UNet::infer swings the heap by more, so every call handed its
+// activations back to the kernel and the next call took a minor fault per
+// page. Pin both thresholds at the ceiling the adaptive rule climbs to:
+// mmap at 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit), trim at its 2x,
+// 64 MiB. A namespace-
+// scope initializer here runs before main in every binary that links tensor
+// storage, so no call site can forget it. mallopt returns 1 when it applied
+// a value; ASan's allocator ignores it.
+struct PinHeapThresholds {
+  PinHeapThresholds() {
+    if (mallopt(M_MMAP_THRESHOLD, 32 << 20) != 1)
+      PP_LOG(Debug) << "heap policy: mallopt(M_MMAP_THRESHOLD) not applied";
+    if (mallopt(M_TRIM_THRESHOLD, 64 << 20) != 1)
+      PP_LOG(Debug) << "heap policy: mallopt(M_TRIM_THRESHOLD) not applied";
+  }
+} const g_pin_heap_thresholds;
+#endif
+
+}  // namespace
 
 std::size_t shape_numel(const std::vector<int>& shape) {
   PP_REQUIRE_MSG(!shape.empty(), "empty tensor shape");

@@ -8,6 +8,10 @@
 #include <fstream>
 #include <map>
 
+#if defined(__GLIBC__) && defined(__linux__)
+#include <sys/resource.h>
+#endif
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "diffusion/convert.hpp"
@@ -190,6 +194,43 @@ TEST(UNet, InferAllocatesNoGraphNodes) {
   std::size_t before = nn::node_allocation_count();
   net.infer(x, {0.5f});
   EXPECT_EQ(nn::node_allocation_count(), before);
+}
+
+TEST(UNet, RepeatedInferKeepsItsHeapMapped) {
+  // Heap policy (DESIGN.md): glibc keeps the activations of one infer
+  // mapped for the next, so a warm call takes no minor page faults. Under
+  // glibc's adaptive thresholds it took about 100 per row per call.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's allocator ignores mallopt";
+#elif !defined(__GLIBC__) || !defined(__linux__)
+  GTEST_SKIP() << "the heap policy is glibc on Linux only";
+#else
+  Rng rng(73);
+  UNetConfig cfg;  // sd1
+  cfg.base_channels = 12;
+  cfg.time_dim = 24;
+  cfg.groups = 4;
+  UNet net(cfg, rng);
+  constexpr int kRows = 8;
+  constexpr int kCalls = 20;
+  const nn::Tensor x = nn::Tensor::randn({kRows, 3, 32, 32}, rng);
+  const std::vector<float> t(kRows, 0.5f);
+  auto minor_faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<long>(ru.ru_minflt);
+  };
+  // Two warm-up calls: the first sizes the thread-local Workspace and
+  // coalesces it into one block as it returns, so the second is the first
+  // to lay activations out as every later call does.
+  for (int i = 0; i < 2; ++i) net.infer(x, t);
+  const long before = minor_faults();
+  for (int i = 0; i < kCalls; ++i) net.infer(x, t);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, kRows * kCalls)
+      << faults << " minor faults over " << kCalls << " batch-" << kRows
+      << " calls";
+#endif
 }
 
 TEST(Convert, RasterTensorRoundTrip) {

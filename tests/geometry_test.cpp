@@ -150,14 +150,6 @@ TEST(Raster, TransposeInvolution) {
   EXPECT_EQ(r.transposed()(2, 3), r(3, 2));
 }
 
-TEST(Raster, FlipsAreInvolutions) {
-  Rng rng(29);
-  Raster r(6, 9);
-  for (auto& v : r.data()) v = rng.bernoulli(0.5);
-  EXPECT_EQ(r.flipped_horizontal().flipped_horizontal(), r);
-  EXPECT_EQ(r.flipped_vertical().flipped_vertical(), r);
-}
-
 TEST(Raster, HashDiscriminatesAndIsStable) {
   Raster a = Raster::from_ascii("#.\n.#\n");
   Raster b = Raster::from_ascii(".#\n#.\n");
