@@ -5,12 +5,18 @@
 // tables reproducible run-to-run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace pp {
 
-/// Thin wrapper over a 64-bit Mersenne Twister with convenience samplers.
+/// A 64-bit Mersenne Twister with convenience samplers.
+///
+/// The engine is MT19937-64, computed in-repo: its output sequence is the one
+/// the C++ standard fixes for std::mt19937_64 (a seed gives the same words).
+/// A normal draw is libstdc++'s algorithm, also computed in-repo (see
+/// normal()); the uniform, integer and Bernoulli draws go through the std
+/// distributions.
 ///
 /// Copyable; copies continue the same stream independently. NOTE: that makes
 /// a shared `Rng` a footgun in parallel code — concurrent draws race, and
@@ -40,11 +46,22 @@ class Rng {
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Standard normal sample.
+  /// Standard normal sample: what a fresh
+  /// std::normal_distribution<double>(0, 1) returns under libstdc++.
+  /// Marsaglia's polar method on pairs of generate_canonical<double, 53>
+  /// uniforms; the first coordinate of the accepted pair is discarded.
   double normal();
 
-  /// Normal with given mean / stddev.
+  /// Normal with given mean / stddev: normal()'s value times stddev plus
+  /// mean, as std::normal_distribution<double>(mean, stddev) computes it.
   double normal(double mean, double stddev);
+
+  /// Writes n standard normal samples to out: exactly the values of n
+  /// successive static_cast<float>(normal()) calls, and the engine ends
+  /// where those calls would leave it, so fills of n and then m values
+  /// equal one fill of n + m. The draws are made in bulk, without a
+  /// data-dependent branch per draw.
+  void fill_normal(float* out, std::size_t n);
 
   /// Bernoulli trial with probability p of true.
   bool bernoulli(double p);
@@ -62,10 +79,30 @@ class Rng {
   /// sample receives.
   std::uint64_t draw_seed();
 
-  std::mt19937_64& engine() { return gen_; }
-
  private:
-  std::mt19937_64 gen_;
+  /// MT19937-64 state, seeding, twist and tempering as the standard defines
+  /// them; a UniformRandomBitGenerator, so the std distributions draw from
+  /// it exactly as from std::mt19937_64.
+  class Engine {
+   public:
+    using result_type = std::uint64_t;
+    static constexpr std::size_t kWords = 312;
+
+    explicit Engine(std::uint64_t seed);
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()();
+    /// The next n outputs, in order: n operator() calls.
+    void fill(result_type* out, std::size_t n);
+
+   private:
+    void twist();
+
+    result_type words_[kWords];
+    std::size_t pos_;  ///< next word to temper; kWords = twist first
+  };
+
+  Engine gen_;
 };
 
 }  // namespace pp

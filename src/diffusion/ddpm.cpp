@@ -73,6 +73,30 @@ enum StreamId : std::uint64_t {
   kSigmaStream = 2,    ///< DDIM stochasticity term
 };
 
+/// Hands out the next `total` normal draws of `rng` one at a time, filled
+/// in bulk into a stack buffer: the values and the stream's final state
+/// are those of `total` static_cast<float>(normal()) calls, and nothing is
+/// allocated. Take exactly `total` values.
+class NoiseChunks {
+ public:
+  NoiseChunks(Rng& rng, std::size_t total) : rng_(rng), left_(total) {}
+  float next() {
+    if (at_ == size_) {
+      size_ = std::min(left_, kChunk);
+      rng_.fill_normal(buf_, size_);
+      left_ -= size_;
+      at_ = 0;
+    }
+    return buf_[at_++];
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 1024;
+  Rng& rng_;
+  std::size_t left_, size_ = 0, at_ = 0;
+  float buf_[kChunk];
+};
+
 /// One caller-RNG draw per sample, in batch order. This is the contract that
 /// makes sampling batch-split invariant: regrouping the same logical samples
 /// into different inpaint()/loss calls consumes the caller's stream
@@ -99,11 +123,10 @@ Var Ddpm::diffusion_loss(const Tensor& x0, const Tensor& mask,
     t_frac[n] = static_cast<float>(t) / static_cast<float>(sched_.T - 1);
     float sa = sched_.sqrt_ab[static_cast<std::size_t>(t)];
     float sb = sched_.sqrt_1m_ab[static_cast<std::size_t>(t)];
+    s.fill_normal(eps.data() + n * per, per);
     for (std::size_t i = 0; i < per; ++i) {
       std::size_t k = n * per + i;
-      float e = static_cast<float>(s.normal());
-      eps[k] = e;
-      x_t[k] = sa * x0[k] + sb * e;
+      x_t[k] = sa * x0[k] + sb * eps[k];
     }
   });
   Var pred = net_.forward(compose_input(x_t, mask, x0), t_frac);
@@ -219,10 +242,8 @@ void Ddpm::join(InpaintState& st, const Tensor& known, const Tensor& mask,
   std::copy_n(mask.data(), static_cast<std::size_t>(M) * per,
               nm.data() + static_cast<std::size_t>(N0) * per);
   parallel_for(0, static_cast<std::size_t>(M), [&](std::size_t i) {
-    Rng init = Rng::stream(bases[i], kInitStream);
-    float* xs = nx.data() + (static_cast<std::size_t>(N0) + i) * per;
-    for (std::size_t k = 0; k < per; ++k)
-      xs[k] = static_cast<float>(init.normal());
+    Rng::stream(bases[i], kInitStream)
+        .fill_normal(nx.data() + (static_cast<std::size_t>(N0) + i) * per, per);
   });
   st.x_ = std::move(nx);
   st.known_ = std::move(nk);
@@ -287,13 +308,12 @@ std::vector<FinishedSample> Ddpm::step(InpaintState& st) const {
   // forward-noised ground truth at each sample's own level t.
   parallel_for(0, static_cast<std::size_t>(N), [&](std::size_t n) {
     const Coef& c = co[n];
-    Rng& rn = st.slots_[n].renoise;
+    const float* ms = mask.data() + n * per;
+    NoiseChunks e(st.slots_[n].renoise,
+                  static_cast<std::size_t>(std::count(ms, ms + per, 0.0f)));
     for (std::size_t i = 0; i < per; ++i) {
       std::size_t k = n * per + i;
-      if (mask[k] == 0.0f) {
-        float e = static_cast<float>(rn.normal());
-        x[k] = c.sa_t * known[k] + c.sb_t * e;
-      }
+      if (ms[i] == 0.0f) x[k] = c.sa_t * known[k] + c.sb_t * e.next();
     }
   });
 
@@ -306,13 +326,12 @@ std::vector<FinishedSample> Ddpm::step(InpaintState& st) const {
   // DDIM update with per-sample stochasticity.
   parallel_for(0, static_cast<std::size_t>(N), [&](std::size_t n) {
     const Coef& c = co[n];
-    Rng& sr = st.slots_[n].sigma;
+    NoiseChunks e(st.slots_[n].sigma, c.sigma > 0.0f ? per : 0);
     for (std::size_t i = 0; i < per; ++i) {
       std::size_t k = n * per + i;
       float x0_hat = (x[k] - c.sb_t * eps[k]) / c.sa_t;
       x0_hat = std::clamp(x0_hat, -1.0f, 1.0f);
-      float noise =
-          c.sigma > 0.0f ? c.sigma * static_cast<float>(sr.normal()) : 0.0f;
+      float noise = c.sigma > 0.0f ? c.sigma * e.next() : 0.0f;
       x[k] = c.sa_p * x0_hat + c.dir * eps[k] + noise;
     }
   });

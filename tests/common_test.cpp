@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -112,14 +115,104 @@ TEST(Rng, StreamsWithDifferentIdsAreIndependent) {
 }
 
 TEST(Rng, DrawSeedConsumesExactlyOneStep) {
-  // Drawing k seeds one call at a time equals drawing them in one burst:
-  // the property that makes per-sample stream assignment batch-split
-  // invariant.
-  Rng a(42), b(42);
+  // Drawing k seeds one call at a time equals k steps of the engine in one
+  // burst: the property that makes per-sample stream assignment
+  // batch-split invariant.
+  Rng a(42);
+  std::mt19937_64 b(42);
   std::vector<std::uint64_t> one_by_one, burst;
   for (int i = 0; i < 8; ++i) one_by_one.push_back(a.draw_seed());
-  for (int i = 0; i < 8; ++i) burst.push_back(b.engine()());
+  for (int i = 0; i < 8; ++i) burst.push_back(b());
   EXPECT_EQ(one_by_one, burst);
+}
+
+TEST(Rng, EngineIsStdMt19937_64) {
+  // The in-repo engine's output sequence is the one the standard fixes,
+  // across many twists, for edge seeds and a seed drawn from a stream.
+  const std::uint64_t seeds[] = {0, 1, 5489, ~std::uint64_t{0},
+                                 Rng::stream(123, 7).draw_seed()};
+  for (std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) mismatches += rng.draw_seed() != ref();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+  // [rand.predef]: the 10000th output of a default-seeded mt19937_64.
+  Rng rng(5489);
+  for (int i = 1; i < 10000; ++i) rng.draw_seed();
+  EXPECT_EQ(rng.draw_seed(), 9981545732273789042ULL);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The normal draw is libstdc++'s algorithm; other standard libraries'
+// normal_distribution is not the reference.
+#ifdef __GLIBCXX__
+#define PP_REQUIRE_LIBSTDCXX()
+#else
+#define PP_REQUIRE_LIBSTDCXX() \
+  GTEST_SKIP() << "reference is libstdc++'s normal_distribution"
+#endif
+
+TEST(Rng, NormalIsLibstdcxxPolarBitForBit) {
+  // normal() and normal(mean, sd) return exactly what a fresh
+  // std::normal_distribution returns on the same engine state.
+  PP_REQUIRE_LIBSTDCXX();
+  int mismatches = 0;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 3000; ++i) {
+      if (i % 3 == 0) {
+        mismatches += !same_bits(
+            rng.normal(), std::normal_distribution<double>(0.0, 1.0)(ref));
+      } else {
+        const double mean = i % 7 - 3.0, sd = 0.25 + i % 5;
+        mismatches += !same_bits(
+            rng.normal(mean, sd),
+            std::normal_distribution<double>(mean, sd)(ref));
+      }
+    }
+    EXPECT_EQ(rng.draw_seed(), ref()) << "seed " << seed;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Rng, FillNormalEqualsPerDrawReference) {
+  // fill_normal(out, n) is n per-draw normals cast to float, and leaves the
+  // engine where they would. Lengths straddle the 156-pair state, the
+  // 256-attempt block and 312-word twists; a prefix of 0-311 words (odd
+  // ones too) shifts where the fill starts within the state.
+  PP_REQUIRE_LIBSTDCXX();
+  const std::size_t lengths[] = {0,   1,   2,   155, 156,  157,  255,
+                                 256, 257, 311, 312, 313, 1024, 5000};
+  std::vector<float> got, want;
+  std::size_t prefix = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (std::size_t n : lengths) {
+      const std::uint64_t s = Rng::stream(seed, n).draw_seed();
+      Rng rng(s);
+      std::mt19937_64 ref(s);
+      for (std::size_t i = 0; i < prefix; ++i)
+        ASSERT_EQ(rng.draw_seed(), ref());
+      got.assign(n, 0.0f);
+      want.resize(n);
+      rng.fill_normal(got.data(), n);
+      for (float& v : want)
+        v = static_cast<float>(std::normal_distribution<double>(0.0, 1.0)(ref));
+      // memcmp may not take the null data() of an empty vector.
+      ASSERT_EQ(n == 0 ? 0 : std::memcmp(got.data(), want.data(),
+                                         n * sizeof(float)),
+                0)
+          << "seed " << seed << " n " << n << " prefix " << prefix;
+      ASSERT_EQ(rng.draw_seed(), ref())
+          << "seed " << seed << " n " << n << " prefix " << prefix;
+      prefix = (prefix + 1) % 312;
+    }
+  }
 }
 
 TEST(Rng, IndexRejectsZero) {
