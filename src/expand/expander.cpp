@@ -76,7 +76,7 @@ std::vector<WindowWork> WavefrontExpander::acquire(int max_windows) {
       // nothing to generate, commit as a no-op.
       st = State::kCommitted;
       ++stats_.windows_skipped;
-      mark_committed(static_cast<std::size_t>(w.index));
+      mark_committed();
       continue;
     }
     Rng stream = Rng::stream(request_seed_, w.index);
@@ -157,11 +157,10 @@ void WavefrontExpander::commit_finished(const WindowWork& work,
   }
 
   st = State::kCommitted;
-  mark_committed(static_cast<std::size_t>(w.index));
+  mark_committed();
 }
 
-void WavefrontExpander::mark_committed(std::size_t index) {
-  (void)index;
+void WavefrontExpander::mark_committed() {
   ++committed_windows_;
   if (--wave_remaining_ > 0) return;
 

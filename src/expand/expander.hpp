@@ -121,7 +121,7 @@ class WavefrontExpander {
   enum class State : std::uint8_t { kPending, kAcquired, kCommitted };
 
   void commit_finished(const WindowWork& work, const Raster& finished);
-  void mark_committed(std::size_t index);
+  void mark_committed();
 
   PatternPaint& painter_;
   ExpandConfig cfg_;

@@ -4,12 +4,8 @@
 #include <chrono>
 #include <utility>
 
-#include <unordered_map>
-
 #include "common/error.hpp"
-#include "diffusion/convert.hpp"
 #include "expand/expander.hpp"
-#include "diffusion/ddpm.hpp"
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -19,36 +15,19 @@ namespace pp::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+// Registry-only serve metrics. The counts stats_json also reports are
+// GenerationServer::Stat members.
 struct ServeMetrics {
-  obs::Counter& accepted = obs::metrics().counter("serve.accepted");
-  obs::Counter& rejected = obs::metrics().counter("serve.rejected");
-  obs::Counter& timeouts = obs::metrics().counter("serve.timeouts");
-  obs::Counter& cancelled = obs::metrics().counter("serve.cancelled");
-  obs::Counter& completed = obs::metrics().counter("serve.completed");
-  obs::Counter& batches = obs::metrics().counter("serve.batches");
-  obs::Counter& coalesced = obs::metrics().counter("serve.coalesced");
-  obs::Counter& samples = obs::metrics().counter("serve.samples");
-  // Continuous batching: samples that joined an already-running batch at a
-  // step boundary, samples that left early (cancel / mid-flight deadline),
-  // and latent-tensor re-pack events (a join/leave/finish that left other
-  // samples still running).
-  obs::Counter& joins = obs::metrics().counter("serve.joins");
-  obs::Counter& leaves = obs::metrics().counter("serve.leaves");
-  obs::Counter& repacks = obs::metrics().counter("serve.repacks");
   // Generation cache: hits served inline at admission (bitwise identical
   // to cold execution), misses counted only when a cache is configured.
   obs::Counter& cache_hits = obs::metrics().counter("serve.cache.hits");
   obs::Counter& cache_misses = obs::metrics().counter("serve.cache.misses");
-  obs::Gauge& queue_depth = obs::metrics().gauge("serve.queue_depth");
   obs::Histogram& wait_ms = obs::metrics().histogram("serve.wait_ms");
   obs::Histogram& e2e_ms = obs::metrics().histogram("serve.e2e_ms");
-  obs::Histogram& batch_samples = obs::metrics().histogram("serve.batch_samples");
 };
 
 ServeMetrics& serve_metrics() {
@@ -123,24 +102,28 @@ obs::Json request_event(const GenRequest& req, ErrorCode code,
 
 }  // namespace
 
+GenerationServer::Stat::Stat(const char* name)
+    : registry_(name ? &obs::metrics().counter(name) : nullptr) {}
+
+void GenerationServer::Stat::add(std::uint64_t n) {
+  n_.fetch_add(n);
+  if (registry_) registry_->add(n);
+}
+
 GenerationServer::GenerationServer(std::shared_ptr<ModelRegistry> registry,
                                    ServerConfig cfg)
     : registry_(std::move(registry)),
       cfg_(std::move(cfg)),
       cache_(cfg_.cache_entries),
-      rolling_(cfg_.rolling),
+      rolling_(obs::RollingConfig::from_env()),
       reqlog_(cfg_.request_log) {
   PP_REQUIRE(registry_ != nullptr);
   PP_REQUIRE(cfg_.max_queue >= 1);
   PP_REQUIRE(cfg_.max_batch_samples >= 1);
   PP_REQUIRE(cfg_.shards >= 1);
   shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i) {
-    auto sh = std::make_unique<Shard>();
-    sh->depth =
-        &obs::metrics().gauge("serve.shard." + std::to_string(i) + ".depth");
-    shards_.push_back(std::move(sh));
-  }
+  for (std::size_t i = 0; i < cfg_.shards; ++i)
+    shards_.push_back(std::make_unique<Shard>());
   // The serve.* metrics are process-global; tracking them here baselines
   // this instance's rolling windows at its own construction.
   rolling_.track_counter("serve.accepted");
@@ -164,10 +147,8 @@ GenerationServer::~GenerationServer() {
     std::lock_guard<std::mutex> lk(sh->m);
     for (PendingPtr& p : sh->queue) leftover.push_back(std::move(p));
     sh->queue.clear();
-    sh->depth->set(0.0);
   }
   pending_total_.store(0);
-  serve_metrics().queue_depth.set(0.0);
   for (const PendingPtr& p : leftover)
     finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kDraining,
                                          "server stopped"));
@@ -175,6 +156,10 @@ GenerationServer::~GenerationServer() {
 
 void GenerationServer::start() {
   std::lock_guard<std::mutex> lk(lifecycle_m_);
+  start_workers_locked();
+}
+
+void GenerationServer::start_workers_locked() {
   if (workers_started_) return;
   workers_started_ = true;
   for (auto& shp : shards_) {
@@ -187,14 +172,8 @@ void GenerationServer::shutdown() {
   draining_.store(true);
   {
     std::lock_guard<std::mutex> lk(lifecycle_m_);
-    if (!workers_started_ && pending_total_.load() > 0) {
-      // Never ran: start now so queued work still completes (graceful).
-      workers_started_ = true;
-      for (auto& shp : shards_) {
-        Shard* sh = shp.get();
-        sh->worker = std::thread([this, sh] { worker_loop(*sh); });
-      }
-    }
+    // Never ran: start now so queued work still completes (graceful).
+    if (pending_total_.load() > 0) start_workers_locked();
   }
   wake_executors();
   for (auto& sh : shards_)
@@ -212,10 +191,6 @@ void GenerationServer::wake_executors() {
   }
 }
 
-bool GenerationServer::expired(const PendingPtr& p, Clock::time_point now) {
-  return p->has_deadline && now >= p->deadline;
-}
-
 GenerationServer::Shard& GenerationServer::shard_for(
     const ModelRegistry::Entry* entry) {
   return *shards_[entry->route % shards_.size()];
@@ -227,34 +202,26 @@ std::size_t GenerationServer::shard_depth(std::size_t shard) const {
   return sh.queue.size();
 }
 
-std::deque<GenerationServer::PendingPtr>::iterator
-GenerationServer::pop_locked(Shard& sh,
-                             std::deque<PendingPtr>::iterator it) {
+std::deque<PendingPtr>::iterator GenerationServer::pop_locked(
+    Shard& sh, std::deque<PendingPtr>::iterator it) {
   auto next = sh.queue.erase(it);
   pending_total_.fetch_sub(1);
-  serve_metrics().queue_depth.set(
-      static_cast<double>(pending_total_.load()));
-  sh.depth->set(static_cast<double>(sh.queue.size()));
   return next;
 }
 
 void GenerationServer::finish_response(const PendingPtr& p, GenResponse resp) {
-  ServeMetrics& m = serve_metrics();
   const Clock::time_point now = Clock::now();
   resp.e2e_ms = ms_between(p->enqueue, now);
   switch (resp.error) {
     case ErrorCode::kTimeout:
-      timeouts_.fetch_add(1);
-      m.timeouts.add(1);
+      timeouts_.add();
       break;
     case ErrorCode::kCancelled:
-      cancelled_.fetch_add(1);
-      m.cancelled.add(1);
+      cancelled_.add();
       break;
     case ErrorCode::kNone:
-      completed_.fetch_add(1);
-      m.completed.add(1);
-      m.e2e_ms.observe(resp.e2e_ms);
+      completed_.add();
+      serve_metrics().e2e_ms.observe(resp.e2e_ms);
       break;
     default:
       break;
@@ -270,10 +237,11 @@ void GenerationServer::finish_response(const PendingPtr& p, GenResponse resp) {
                                obs::trace_now_ns(), p->req.id);
   if (reqlog_.enabled()) {
     const double run_ms = p->started ? ms_between(p->exec_start, now) : 0.0;
-    reqlog_.write(request_event(p->req, resp.error, p->wait_ms_snapshot,
-                                run_ms, resp.e2e_ms, p->step_batches,
+    reqlog_.write(request_event(p->req, resp.error, p->wait_ms, run_ms,
+                                resp.e2e_ms, p->step_batches,
                                 resp.batch_samples, p->joined_running,
-                                false, p->expand_windows, p->expand_waves));
+                                false, resp.expand_windows,
+                                resp.expand_waves));
   }
   if (p->done) p->done(std::move(resp));
 }
@@ -288,8 +256,7 @@ void GenerationServer::submit(GenRequest req,
                               std::function<void(GenResponse)> done) {
   ServeMetrics& m = serve_metrics();
   auto reject = [&](ErrorCode code, const std::string& msg) {
-    rejected_.fetch_add(1);
-    m.rejected.add(1);
+    rejected_.add();
     log_reject(req, code);
     if (done) done(GenResponse::fail(req.id, code, msg));
   };
@@ -379,10 +346,8 @@ void GenerationServer::submit(GenRequest req,
       hit.wait_ms = 0.0;
       hit.batch_samples = 0;  // no batch ran
       hit.e2e_ms = ms_between(t0, Clock::now());
-      accepted_.fetch_add(1);
-      m.accepted.add(1);
-      completed_.fetch_add(1);
-      m.completed.add(1);
+      accepted_.add();
+      completed_.add();
       m.cache_hits.add(1);
       m.e2e_ms.observe(hit.e2e_ms);
       if (reqlog_.enabled())
@@ -415,10 +380,7 @@ void GenerationServer::submit(GenRequest req,
     // slot claim, so max_queue is exact under concurrent submitters.
     if (pending_total_.fetch_add(1) < cfg_.max_queue) {
       sh.queue.push_back(p);
-      accepted_.fetch_add(1);
-      m.accepted.add(1);
-      m.queue_depth.set(static_cast<double>(pending_total_.load()));
-      sh.depth->set(static_cast<double>(sh.queue.size()));
+      accepted_.add();
       sh.cv.notify_one();
       return;
     }
@@ -426,8 +388,7 @@ void GenerationServer::submit(GenRequest req,
   }
   // Queue full. The callback already moved into `p`, so reject through it
   // (outside the lock).
-  rejected_.fetch_add(1);
-  m.rejected.add(1);
+  rejected_.add();
   log_reject(p->req, ErrorCode::kQueueFull);
   if (p->done)
     p->done(GenResponse::fail(
@@ -444,10 +405,9 @@ std::future<GenResponse> GenerationServer::submit(GenRequest req) {
 }
 
 bool GenerationServer::cancel(std::uint64_t id) {
-  PendingPtr victim;
   for (auto& shp : shards_) {
     Shard& sh = *shp;
-    bool flagged_inflight = false;
+    PendingPtr victim;
     {
       std::lock_guard<std::mutex> lk(sh.m);
       for (auto it = sh.queue.begin(); it != sh.queue.end(); ++it) {
@@ -459,164 +419,60 @@ bool GenerationServer::cancel(std::uint64_t id) {
       }
       if (!victim) {
         for (const PendingPtr& p : sh.inflight) {
-          if (p->req.id == id) {
-            p->cancelled.store(true);
-            flagged_inflight = true;
-            break;
-          }
+          if (p->req.id != id) continue;
+          sh.cancels.push_back(p);  // the executor delivers the response
+          return true;
         }
+        continue;
       }
     }
-    if (flagged_inflight) return true;  // executor delivers the response
-    if (victim) break;
+    finish_response(victim, GenResponse::fail(id, ErrorCode::kCancelled,
+                                              "cancelled while queued"));
+    return true;
   }
-  if (!victim) return false;
-  victim->cancelled.store(true);
-  finish_response(victim, GenResponse::fail(id, ErrorCode::kCancelled,
-                                            "cancelled while queued"));
-  return true;
+  return false;
+}
+
+void GenerationServer::take_cancels_locked(Shard& sh) {
+  for (const PendingPtr& p : sh.cancels) p->cancelled = true;
+  sh.cancels.clear();
+}
+
+void GenerationServer::count(Shard& sh, const BatchCounts& c) {
+  batches_.add(c.batches);
+  batched_samples_.add(c.samples);
+  joins_.add(c.joins);
+  leaves_.add(c.leaves);
+  repacks_.add(c.repacks);
+  sh.served.fetch_add(c.finished);
+}
+
+void GenerationServer::retire(Shard& sh, ContinuousBatch& batch, Retired r) {
+  count(sh, batch.take_counts());
+  {
+    std::lock_guard<std::mutex> lk(sh.m);
+    take_cancels_locked(sh);
+    sh.inflight.erase(std::remove(sh.inflight.begin(), sh.inflight.end(), r.p),
+                      sh.inflight.end());
+  }
+  // Dropped before delivery: a cancel() from now on returns false, and one
+  // that came earlier made the answer "cancelled".
+  if (r.p->cancelled && r.resp.error != ErrorCode::kCancelled)
+    r.resp = GenResponse::fail(r.p->req.id, ErrorCode::kCancelled,
+                               "cancelled while executing");
+  finish_response(r.p, std::move(r.resp));
 }
 
 void GenerationServer::worker_loop(Shard& sh) {
-  ServeMetrics& m = serve_metrics();
-
-  // One running request inside the continuous batch. `mid` namespaces its
-  // sample tags (tag = mid * kTagStride + sample index), `remaining` counts
-  // samples still inside the InpaintState, `raws` collects finished samples
-  // at their request-order position the moment each one's schedule ends.
-  // Expansion state for one expand member: the wavefront engine plus the
-  // windows currently inside the InpaintState, keyed by the per-window
-  // sequence number that namespaces their tags (tag = mid * kTagStride +
-  // seq). The member stays resident across steps, feeding ready windows
-  // into the running batch and committing them as their samples finish.
-  struct ExpandRun {
-    std::unique_ptr<expand::WavefrontExpander> ex;
-    std::unordered_map<std::uint64_t, expand::WindowWork> inflight;
-    std::uint64_t next_seq = 0;
-    bool failed = false;      ///< feed/commit raised; drain then fail
-    std::string fail_msg;
-  };
-  struct Member {
-    PendingPtr p;
-    std::uint64_t mid = 0;
-    int remaining = 0;  ///< samples (expand: windows) still in the state
-    int peak_batch = 0;  ///< max co-resident samples while this request ran
-    std::vector<Raster> raws;
-    std::vector<std::uint64_t> finish_bases;
-    std::unique_ptr<ExpandRun> xp;  ///< non-null = expand member
-  };
-  constexpr std::uint64_t kTagStride = 1ull << 32;
-
-  ModelRegistry::EntryPtr entry;  ///< the running batch's registry entry
-  InpaintState st;
-  std::vector<Member> members;
-  std::uint64_t next_mid = 0;
-
-  auto drop_inflight = [&](const PendingPtr& p) {
-    std::lock_guard<std::mutex> lk(sh.m);
-    sh.inflight.erase(
-        std::remove(sh.inflight.begin(), sh.inflight.end(), p),
-        sh.inflight.end());
-  };
-  auto member_tags = [](std::uint64_t mid, int count) {
-    std::vector<std::uint64_t> tags;
-    tags.reserve(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k)
-      tags.push_back(mid * kTagStride + static_cast<std::uint64_t>(k));
-    return tags;
-  };
-  // Abandon the whole running batch (internal error / hard stop): every
-  // member completes with `code` — cancelled/expired members keep their own
-  // verdict — and the state resets.
-  auto fail_all = [&](ErrorCode code, const std::string& msg) {
-    for (Member& mem : members) {
-      drop_inflight(mem.p);
-      ErrorCode c = code;
-      if (mem.p->cancelled.load())
-        c = ErrorCode::kCancelled;
-      else if (expired(mem.p, Clock::now()))
-        c = ErrorCode::kTimeout;
-      finish_response(mem.p, GenResponse::fail(mem.p->req.id, c, msg));
-    }
-    members.clear();
-    st = InpaintState();
-    entry.reset();
-  };
-  // Finish tail + response for a member whose every sample completed.
-  auto complete_member = [&](Member& mem) {
-    const PendingPtr& p = mem.p;
-    sh.served.fetch_add(1);
-    if (p->cancelled.load()) {
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kCancelled,
-                                           "cancelled while executing"));
-      return;
-    }
-    GenResponse resp;
-    resp.id = p->req.id;
-    resp.wait_ms = p->wait_ms_snapshot;
-    resp.batch_samples = mem.peak_batch;
-    if (mem.xp) {
-      if (mem.xp->failed) {
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                             mem.xp->fail_msg));
-        return;
-      }
-      const expand::ExpandStats stats = mem.xp->ex->stats();
-      resp.is_expand = true;
-      resp.target_w = p->req.target_w;
-      resp.target_h = p->req.target_h;
-      resp.expand_windows = stats.windows_total;
-      resp.expand_waves = stats.waves;
-      resp.expand_seam_violations = stats.seam_violations;
-      resp.expand_drc_pass_rate = stats.drc_pass_rate();
-      try {
-        resp.patterns.push_back(mem.xp->ex->take_canvas());
-      } catch (const std::exception& e) {
-        finish_response(
-            p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-        return;
-      }
-      resp.legal.push_back(stats.drc_checked == stats.drc_clean);
-      p->expand_windows = stats.windows_total;
-      p->expand_waves = stats.waves;
-      finish_response(p, std::move(resp));
-      return;
-    }
-    if (p->req.finish) {
-      const int clip = entry->cfg.clip_size;
-      const Raster tmpl = p->req.op == GenRequest::Op::kInpaint
-                              ? p->req.tmpl
-                              : Raster(clip, clip, 0);
-      std::vector<Raster> tmpls(mem.raws.size(), tmpl);
-      std::vector<GenerationRecord> recs;
-      try {
-        recs = entry->pp->finish_samples(mem.raws, tmpls, mem.finish_bases);
-      } catch (const std::exception& e) {
-        finish_response(
-            p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-        return;
-      }
-      for (const GenerationRecord& rec : recs) {
-        resp.patterns.push_back(rec.denoised);
-        resp.legal.push_back(rec.legal);
-      }
-    } else {
-      resp.patterns = mem.raws;
-    }
-    finish_response(p, std::move(resp));
-  };
-
+  ContinuousBatch batch(cfg_.max_batch_samples, [&](Retired r) {
+    retire(sh, batch, std::move(r));
+  });
   for (;;) {
     std::vector<PendingPtr> expired_now;
     std::vector<PendingPtr> joined;
     {
       std::unique_lock<std::mutex> lk(sh.m);
-      if (members.empty()) {
-        entry.reset();
-        // Also drop the drained InpaintState: compact() keeps the clip
-        // shape (h_/w_) after the last member completes, and a stale shape
-        // would fail every join for a model with a different clip size.
-        st = InpaintState();
+      if (batch.empty()) {
         sh.cv.wait(lk, [&] {
           return stop_hard_.load() || draining_.load() || !sh.queue.empty();
         });
@@ -626,12 +482,13 @@ void GenerationServer::worker_loop(Shard& sh) {
         }
         if (stop_hard_.load()) break;  // destructor flushes the queue
       }
+      take_cancels_locked(sh);
 
       // Deadline pass: anything already expired completes as "timeout"
       // without touching the model.
       const Clock::time_point now = Clock::now();
       for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-        if (expired(*it, now)) {
+        if ((*it)->expired(now)) {
           expired_now.push_back(*it);
           it = pop_locked(sh, it);
         } else {
@@ -641,29 +498,30 @@ void GenerationServer::worker_loop(Shard& sh) {
 
       // Join pass (the step boundary): when idle, the first queued request
       // fixes the batch's registry entry; every queued request on the same
-      // entry then joins until the sample cap. steps/eta need NOT match —
+      // entry then joins until the row cap. steps/eta need NOT match —
       // the sampler schedule is per-sample state, not a batch property.
       // Fairness: once the queue head waits on a DIFFERENT entry than the
       // running batch, stop admitting new joins so the batch drains and the
       // head gets served — otherwise sustained same-model traffic starves
       // other models' requests unboundedly.
-      const bool head_blocked = !members.empty() && !sh.queue.empty() &&
-                                sh.queue.front()->entry.get() != entry.get();
+      const bool head_blocked = !batch.empty() && !sh.queue.empty() &&
+                                sh.queue.front()->entry != batch.entry();
       if (!stop_hard_.load() && !head_blocked) {
-        int active = st.active();
-        for (auto it = sh.queue.begin(); it != sh.queue.end();) {
+        const ModelRegistry::Entry* entry = batch.entry().get();
+        int rows = batch.rows();
+        for (auto it = sh.queue.begin();
+             it != sh.queue.end() && rows < cfg_.max_batch_samples;) {
           const PendingPtr& p = *it;
-          if (!entry) entry = p->entry;
-          const bool fits = active + p->req.count <= cfg_.max_batch_samples;
-          if (p->entry.get() == entry.get() && fits) {
-            active += p->req.count;
-            joined.push_back(p);
-            sh.inflight.push_back(p);
-            it = pop_locked(sh, it);
-            if (active >= cfg_.max_batch_samples) break;
-          } else {
+          if (!entry) entry = p->entry.get();
+          if (p->entry.get() != entry ||
+              rows + p->req.count > cfg_.max_batch_samples) {
             ++it;
+            continue;
           }
+          rows += p->req.count;
+          joined.push_back(p);
+          sh.inflight.push_back(p);
+          it = pop_locked(sh, it);
         }
       }
     }
@@ -673,298 +531,40 @@ void GenerationServer::worker_loop(Shard& sh) {
                                            "deadline expired in queue"));
 
     if (stop_hard_.load()) {
-      for (const PendingPtr& p : joined) {
-        drop_inflight(p);
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kDraining,
-                                             "server stopped"));
-      }
-      if (!members.empty())
-        fail_all(ErrorCode::kDraining, "batch abandoned mid-flight");
+      batch.abandon(ErrorCode::kDraining, "batch abandoned mid-flight");
+      for (const PendingPtr& p : joined)
+        retire(sh, batch,
+               {p, GenResponse::fail(p->req.id, ErrorCode::kDraining,
+                                     "server stopped")});
       break;
     }
 
-    // Execute the joins: derive each request's stream bases per the
-    // sequential reference semantics (Rng(seed) -> count gen bases, then
-    // count finish bases; serve/protocol.hpp), assemble its planes and
-    // extend the running state. Per-sample noise is a pure function of
-    // (base, step index), so joining late cannot shift anyone's bits.
-    if (!joined.empty()) {
-      const Clock::time_point now = Clock::now();
-      const int clip = entry->cfg.clip_size;
-      const bool was_running = !members.empty();
-      int joined_samples = 0;
-      for (const PendingPtr& p : joined) {
-        p->wait_ms_snapshot = ms_between(p->enqueue, now);
-        m.wait_ms.observe(p->wait_ms_snapshot);
-        p->exec_start = now;
-        p->started = true;
-        p->joined_running = !members.empty();
-        if (p->req.op == GenRequest::Op::kExpand) {
-          // An expansion holds a Member slot but contributes no samples at
-          // creation: the feed pass below streams its wavefront windows
-          // into the state at step boundaries, interleaved with ordinary
-          // traffic, so a long expansion never freezes the batch.
-          Member mem;
-          mem.p = p;
-          mem.mid = next_mid++;
-          mem.xp = std::make_unique<ExpandRun>();
-          expand::ExpandConfig ecfg;
-          ecfg.sampler =
-              SamplerParams{p->req.steps, static_cast<float>(p->req.eta)};
-          ecfg.denoise_windows = p->req.finish;
-          try {
-            mem.xp->ex = std::make_unique<expand::WavefrontExpander>(
-                *entry->pp, p->req.tmpl, p->req.target_w, p->req.target_h,
-                p->req.seed, ecfg);
-          } catch (const std::exception& e) {
-            drop_inflight(p);
-            finish_response(p, GenResponse::fail(p->req.id,
-                                                 ErrorCode::kInternal,
-                                                 e.what()));
-            continue;
-          }
-          members.push_back(std::move(mem));
-          continue;
-        }
-        const int count = p->req.count;
-        Member mem;
-        mem.p = p;
-        mem.mid = next_mid++;
-        mem.remaining = count;
-        mem.raws.resize(static_cast<std::size_t>(count));
-        mem.finish_bases.resize(static_cast<std::size_t>(count));
-        Rng rng(p->req.seed);
-        std::vector<std::uint64_t> gen_bases(static_cast<std::size_t>(count));
-        for (auto& b : gen_bases) b = rng.draw_seed();
-        for (auto& b : mem.finish_bases) b = rng.draw_seed();
-
-        nn::Tensor kt, mt;
-        if (p->req.op == GenRequest::Op::kInpaint) {
-          kt = raster_to_tensor(p->req.tmpl);
-          mt = mask_to_tensor(p->req.mask);
-        } else {
-          kt = nn::Tensor::full({1, 1, clip, clip}, -1.0f);  // empty layout
-          mt = nn::Tensor::full({1, 1, clip, clip}, 1.0f);   // regenerate all
-        }
-        try {
-          entry->pp->model().join(
-              st, repeat_batch(kt, count), repeat_batch(mt, count), gen_bases,
-              member_tags(mem.mid, count),
-              SamplerParams{p->req.steps, static_cast<float>(p->req.eta)});
-        } catch (const std::exception& e) {
-          drop_inflight(p);
-          finish_response(
-              p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-          continue;
-        }
-        if (!members.empty()) {  // joined a batch that already had samples
-          joins_.fetch_add(static_cast<std::uint64_t>(count));
-          m.joins.add(static_cast<std::uint64_t>(count));
-        }
-        joined_samples += count;
-        members.push_back(std::move(mem));
-      }
-      if (joined_samples > 0) {
-        if (!was_running) {
-          batches_.fetch_add(1);
-          m.batches.add(1);
-        }
-        batched_samples_.fetch_add(static_cast<std::uint64_t>(joined_samples));
-        m.samples.add(static_cast<std::uint64_t>(joined_samples));
-        m.batch_samples.observe(static_cast<double>(st.active()));
-        if (members.size() > 1)
-          m.coalesced.add(static_cast<std::uint64_t>(joined.size()));
-      }
+    const Clock::time_point now = Clock::now();
+    for (const PendingPtr& p : joined) {
+      p->wait_ms = ms_between(p->enqueue, now);
+      serve_metrics().wait_ms.observe(p->wait_ms);
+      p->exec_start = now;
+      p->started = true;
+      batch.admit(p);
     }
-
-    // Leave pass: cancelled or deadline-expired members exit NOW, at the
-    // step boundary, instead of holding their rows to the end — the
-    // remaining latents re-pack and everyone else's bits are untouched.
-    if (!members.empty()) {
-      const Clock::time_point now = Clock::now();
-      std::vector<std::uint64_t> leave_tags;
-      for (auto it = members.begin(); it != members.end();) {
-        Member& mem = *it;
-        const bool cancel = mem.p->cancelled.load();
-        const bool late = !cancel && expired(mem.p, now);
-        if (!cancel && !late) {
-          ++it;
-          continue;
-        }
-        std::vector<std::uint64_t> tags;
-        if (mem.xp) {
-          // Expand tags are the in-flight window sequence numbers, not
-          // 0..count-1; the un-fed remainder of the plan simply never runs
-          // and the partial canvas is dropped (no cache insert — the
-          // response is a failure).
-          tags.reserve(mem.xp->inflight.size());
-          for (const auto& kv : mem.xp->inflight)
-            tags.push_back(mem.mid * kTagStride + kv.first);
-        } else {
-          tags = member_tags(mem.mid, mem.p->req.count);
-        }
-        leave_tags.insert(leave_tags.end(), tags.begin(), tags.end());
-        leaves_.fetch_add(static_cast<std::uint64_t>(mem.remaining));
-        m.leaves.add(static_cast<std::uint64_t>(mem.remaining));
-        drop_inflight(mem.p);
-        finish_response(
-            mem.p,
-            cancel ? GenResponse::fail(mem.p->req.id, ErrorCode::kCancelled,
-                                       "cancelled while executing")
-                   : GenResponse::fail(mem.p->req.id, ErrorCode::kTimeout,
-                                       "deadline expired mid-batch"));
-        it = members.erase(it);
-      }
-      if (!leave_tags.empty()) {
-        entry->pp->model().leave(st, leave_tags);
-        if (!st.empty()) {
-          repacks_.fetch_add(1);
-          m.repacks.add(1);
-        }
-      }
-    }
-    if (members.empty()) {
-      st = InpaintState();
-      entry.reset();
-      continue;
-    }
-
-    // Feed pass: every expansion member streams the ready windows of its
-    // current wave into the running batch, up to the spare sample budget.
-    // head_blocked does NOT gate this — an admitted expansion is bounded
-    // work that must drain for the mismatched head to ever run. When the
-    // batch is otherwise idle the budget is at least 1, so an expansion
-    // always makes progress.
-    for (Member& mem : members) {
-      if (!mem.xp || mem.xp->failed) continue;
-      ExpandRun& xp = *mem.xp;
-      int budget = cfg_.max_batch_samples - st.active();
-      if (st.active() == 0) budget = std::max(budget, 1);
-      if (budget <= 0) continue;
-      std::vector<expand::WindowWork> works;
-      try {
-        works = xp.ex->acquire(budget);
-      } catch (const std::exception& e) {
-        xp.failed = true;
-        xp.fail_msg = e.what();
-        continue;
-      }
-      if (works.empty()) continue;
-      const int n = static_cast<int>(works.size());
-      std::vector<std::uint64_t> tags;  // window k: sequence next_seq + k
-      for (std::uint64_t k = 0; k < works.size(); ++k)
-        tags.push_back(mem.mid * kTagStride + xp.next_seq + k);
-      try {
-        const expand::WindowBatch in = expand::stack_windows(works);
-        entry->pp->model().join(
-            st, in.known, in.mask, in.bases, tags,
-            SamplerParams{mem.p->req.steps,
-                          static_cast<float>(mem.p->req.eta)});
-      } catch (const std::exception& e) {
-        // join validates before touching the state, so nothing entered;
-        // the expansion drains its earlier windows and then fails.
-        xp.failed = true;
-        xp.fail_msg = e.what();
-        continue;
-      }
-      for (expand::WindowWork& w : works)
-        xp.inflight.emplace(xp.next_seq++, std::move(w));
-      mem.remaining += n;
-      batched_samples_.fetch_add(static_cast<std::uint64_t>(n));
-      m.samples.add(static_cast<std::uint64_t>(n));
-      m.batch_samples.observe(static_cast<double>(st.active()));
-      if (members.size() > 1) {
-        joins_.fetch_add(static_cast<std::uint64_t>(n));
-        m.joins.add(static_cast<std::uint64_t>(n));
-      }
-    }
-
-    // One denoising step for every active sample; completed samples come
-    // back composited and the state re-packs underneath them. A zero-
-    // active state (expansions that just finished feeding or failed) skips
-    // straight to completion.
-    const int cur = st.active();
-    std::vector<FinishedSample> done;
-    if (cur > 0) {
-      for (Member& mem : members)
-        mem.peak_batch = std::max(mem.peak_batch, cur);
-      try {
-        PP_TRACE_SPAN("serve.step_batch");
-        // Flow points emitted INSIDE the open step-batch span bind the
-        // request's flow chain to this slice in the chrome export.
-        for (Member& mem : members) {
-          ++mem.p->step_batches;
-          if (mem.p->trace_start_ns != 0)
-            obs::record_flow_point("serve.step", mem.p->req.id);
-        }
-        done = entry->pp->model().step(st);
-      } catch (const std::exception& e) {
-        fail_all(ErrorCode::kInternal, e.what());
-        continue;
-      }
-    }
-    if (!done.empty() && !st.empty()) {
-      repacks_.fetch_add(1);
-      m.repacks.add(1);
-    }
-
-    // Route finished samples home; a member whose last sample just landed
-    // responds immediately — it does not wait for the batch to drain.
-    for (const FinishedSample& f : done) {
-      const std::uint64_t mid = f.tag / kTagStride;
-      const std::uint64_t k = f.tag % kTagStride;
-      for (Member& mem : members) {
-        if (mem.mid != mid) continue;
-        if (mem.xp) {
-          auto w = mem.xp->inflight.find(k);
-          if (w != mem.xp->inflight.end()) {
-            try {
-              mem.xp->ex->commit(w->second, tensor_to_rasters(f.x)[0]);
-            } catch (const std::exception& e) {
-              mem.xp->failed = true;
-              mem.xp->fail_msg = e.what();
-            }
-            mem.xp->inflight.erase(w);
-            --mem.remaining;
-          }
-        } else {
-          mem.raws[static_cast<std::size_t>(k)] = tensor_to_rasters(f.x)[0];
-          --mem.remaining;
-        }
-        break;
-      }
-    }
-    for (auto it = members.begin(); it != members.end();) {
-      // Ordinary members complete when every sample landed; an expansion
-      // completes when nothing is in flight AND the wavefront is exhausted
-      // (or it failed and has now drained).
-      const bool member_done =
-          it->xp ? (it->remaining == 0 &&
-                    (it->xp->failed || it->xp->ex->done()))
-                 : it->remaining == 0;
-      if (!member_done) {
-        ++it;
-        continue;
-      }
-      complete_member(*it);
-      drop_inflight(it->p);
-      it = members.erase(it);
-    }
+    batch.leave(Clock::now());
+    batch.step();
+    count(sh, batch.take_counts());
   }
 }
 
 obs::Json GenerationServer::stats_json() const {
   obs::Json o = obs::Json::object();
-  o.set("accepted", obs::Json(accepted_.load()));
-  o.set("rejected", obs::Json(rejected_.load()));
-  o.set("timeouts", obs::Json(timeouts_.load()));
-  o.set("cancelled", obs::Json(cancelled_.load()));
-  o.set("completed", obs::Json(completed_.load()));
-  o.set("batches", obs::Json(batches_.load()));
-  o.set("batched_samples", obs::Json(batched_samples_.load()));
-  o.set("joins", obs::Json(joins_.load()));
-  o.set("leaves", obs::Json(leaves_.load()));
-  o.set("repacks", obs::Json(repacks_.load()));
+  o.set("accepted", obs::Json(accepted_.value()));
+  o.set("rejected", obs::Json(rejected_.value()));
+  o.set("timeouts", obs::Json(timeouts_.value()));
+  o.set("cancelled", obs::Json(cancelled_.value()));
+  o.set("completed", obs::Json(completed_.value()));
+  o.set("batches", obs::Json(batches_.value()));
+  o.set("batched_samples", obs::Json(batched_samples_.value()));
+  o.set("joins", obs::Json(joins_.value()));
+  o.set("leaves", obs::Json(leaves_.value()));
+  o.set("repacks", obs::Json(repacks_.value()));
   o.set("queue_depth", obs::Json(queue_depth()));
   o.set("accepting", obs::Json(accepting()));
   o.set("max_queue", obs::Json(cfg_.max_queue));

@@ -8,16 +8,16 @@
 // model lands on one executor and continuous-batch coalescing stays
 // effective; the admission bound (max_queue) is GLOBAL across shards, so
 // capacity behaves identically at any shard count. Each executor serves
-// its shard with STEP-LEVEL CONTINUOUS BATCHING (LLM-serving style): it
-// keeps one running batch of per-sample denoising state (Ddpm::InpaintState)
-// for one registry entry — same preset + checkpoint + clip + weight
-// generation, by pointer identity, so weights can never mix across
-// hot-swap generations. At every denoising-step boundary, queued requests
-// for the same entry JOIN the running batch (up to max_batch_samples),
-// cancelled or deadline-expired samples LEAVE immediately, samples whose
-// per-request schedule (`steps`/`eta` knobs) completes are delivered the
-// moment their last step runs, and the latent tensor RE-PACKS. A late
-// request therefore waits one step, not one whole generation.
+// its shard with STEP-LEVEL CONTINUOUS BATCHING (LLM-serving style) through
+// one ContinuousBatch (serve/batch.hpp) for one registry entry — same
+// preset + checkpoint + clip + weight generation, by pointer identity, so
+// weights can never mix across hot-swap generations. At every
+// denoising-step boundary, queued requests for the same entry JOIN the
+// running batch (up to max_batch_samples rows), cancelled or
+// deadline-expired members LEAVE immediately, and members whose rows finish
+// their per-request schedule (`steps`/`eta` knobs) are answered the moment
+// their last step runs. A late request therefore waits one step, not one
+// whole generation.
 //
 // Determinism: every sample's noise is a pure function of its own RNG
 // stream base (derived from the request seed) and its own step index, and
@@ -40,7 +40,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -53,13 +52,14 @@
 #include <vector>
 
 #include "obs/rolling.hpp"
+#include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/reqlog.hpp"
 
 namespace pp::obs {
-class Gauge;
+class Counter;
 }
 
 namespace pp::serve {
@@ -80,8 +80,6 @@ struct ServerConfig {
   /// request). Defaults honor PP_REQLOG / PP_REQLOG_ROTATE_BYTES; an empty
   /// path disables logging.
   RequestLogConfig request_log = RequestLogConfig::from_env();
-  /// Rolling-window sizing for live SLO stats (PP_ROLL_WINDOW_S).
-  obs::RollingConfig rolling = obs::RollingConfig::from_env();
 };
 
 class GenerationServer {
@@ -118,7 +116,9 @@ class GenerationServer {
   /// "cancelled" immediately. In-flight: flagged; at the next denoising-step
   /// boundary the executor removes the request's samples from the running
   /// batch (Ddpm::leave) and completes it with "cancelled", while its batch
-  /// mates keep running. Returns false when the id is not pending.
+  /// mates keep running. Returns false when the id is not pending, which
+  /// includes a request whose response is already being delivered; true
+  /// means the response will be "cancelled".
   bool cancel(std::uint64_t id);
 
   bool accepting() const { return !draining_.load(); }
@@ -153,43 +153,45 @@ class GenerationServer {
   const RequestLog& request_log() const { return reqlog_; }
 
  private:
-  struct Pending {
-    GenRequest req;
-    std::function<void(GenResponse)> done;
-    ModelRegistry::EntryPtr entry;
-    std::string cache_key;  ///< non-empty = insert the response on success
-    std::chrono::steady_clock::time_point enqueue;
-    std::chrono::steady_clock::time_point deadline;  ///< valid iff has_deadline
-    bool has_deadline = false;
-    double wait_ms_snapshot = 0.0;  ///< enqueue -> batch pop (executor only)
-    std::atomic<bool> cancelled{false};
-    // Request-scoped telemetry (written by admission / the executor, read
-    // at completion on the same thread that last wrote them).
-    std::uint64_t trace_start_ns = 0;  ///< trace-epoch submit time (0 = off)
-    std::chrono::steady_clock::time_point exec_start;  ///< first join/pop
-    bool started = false;       ///< exec_start is valid
-    int step_batches = 0;       ///< denoising step-batches participated in
-    bool joined_running = false;  ///< joined a batch that was already going
-    int expand_windows = 0;     ///< expand only: windows committed
-    int expand_waves = 0;       ///< expand only: waves completed
-  };
-  using PendingPtr = std::shared_ptr<Pending>;
-
-  /// One executor shard: its queue slice, in-flight set, worker thread and
-  /// depth gauge. Guarded by its own mutex so shards never contend.
+  /// One executor shard: its queue slice, in-flight set and worker
+  /// thread. Guarded by its own mutex so shards never contend.
   struct Shard {
     mutable std::mutex m;
     std::condition_variable cv;
     std::deque<PendingPtr> queue;
     std::vector<PendingPtr> inflight;
+    /// In-flight requests cancel() found; the executor moves them into
+    /// Pending::cancelled under m.
+    std::vector<PendingPtr> cancels;
     std::thread worker;
-    obs::Gauge* depth = nullptr;  ///< serve.shard.<i>.depth
     std::atomic<std::uint64_t> served{0};  ///< requests this shard completed
   };
 
+  /// One instance statistic, read by stats_json. When `name` is given, the
+  /// process-wide registry counter of that name counts it too.
+  class Stat {
+   public:
+    explicit Stat(const char* name = nullptr);
+    void add(std::uint64_t n = 1);
+    std::uint64_t value() const { return n_.load(); }
+
+   private:
+    std::atomic<std::uint64_t> n_{0};
+    obs::Counter* registry_ = nullptr;
+  };
+
   Shard& shard_for(const ModelRegistry::Entry* entry);
+  /// Starts one executor per shard unless they run. Under lifecycle_m_.
+  void start_workers_locked();
   /// Step-level continuous-batching executor (see class comment).
   void worker_loop(Shard& sh);
+  /// Under sh.m: flags the requests cancel() queued on the shard.
+  static void take_cancels_locked(Shard& sh);
+  /// Adds what a shard's batch did to the stats.
+  void count(Shard& sh, const BatchCounts& c);
+  /// The batch's retire callback: counts what the batch did so far, drops
+  /// the request from the in-flight set, then delivers its response.
+  void retire(Shard& sh, ContinuousBatch& batch, Retired r);
   /// Wakes every executor after draining_ or stop_hard_ changed.
   void wake_executors();
   void finish_response(const PendingPtr& p, GenResponse resp);
@@ -197,12 +199,10 @@ class GenerationServer {
   /// from finish_response).
   void log_reject(const GenRequest& req, ErrorCode code);
   /// Removes one request from a shard queue under its lock; pairs every
-  /// erase with the global pending-count decrement and gauge updates.
-  /// Returns the iterator after the erased element.
+  /// erase with the global pending-count decrement. Returns the iterator
+  /// after the erased element.
   std::deque<PendingPtr>::iterator pop_locked(
       Shard& sh, std::deque<PendingPtr>::iterator it);
-  static bool expired(const PendingPtr& p,
-                      std::chrono::steady_clock::time_point now);
 
   std::shared_ptr<ModelRegistry> registry_;
   ServerConfig cfg_;
@@ -219,11 +219,11 @@ class GenerationServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_hard_{false};
 
-  // Instance-lifetime stats (also mirrored into the process metrics
-  // registry as serve.* counters/histograms).
-  std::atomic<std::uint64_t> accepted_{0}, rejected_{0}, timeouts_{0},
-      cancelled_{0}, completed_{0}, batches_{0}, batched_samples_{0},
-      joins_{0}, leaves_{0}, repacks_{0};
+  // Instance-lifetime stats.
+  Stat accepted_{"serve.accepted"}, rejected_{"serve.rejected"},
+      timeouts_{"serve.timeouts"}, cancelled_{"serve.cancelled"},
+      completed_{"serve.completed"}, batches_, batched_samples_,
+      joins_{"serve.joins"}, leaves_, repacks_{"serve.repacks"};
 
   // Live telemetry plane: rolling windows baseline at THIS instance's
   // construction (the underlying serve.* metrics are process-global), the

@@ -1,7 +1,8 @@
 // Tier-1 tests for the serving layer (src/serve): micro-batch coalescing
-// must be bitwise invisible, admission control must reject with structured
-// reasons, shutdown must drain gracefully, and the NDJSON pipe transport
-// must serve concurrent clients.
+// must be bitwise invisible (through the threaded server and through
+// ContinuousBatch driven one step at a time), admission control must reject
+// with structured reasons, shutdown must drain gracefully, and the NDJSON
+// pipe transport must serve concurrent clients.
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -24,10 +26,12 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "diffusion/convert.hpp"
+#include "expand/expander.hpp"
 #include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -383,6 +387,180 @@ TEST(Serve, ContinuousCrossEntryFairness) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 2u) << "cross-entry head was starved by a later join";
   EXPECT_EQ(order[1], 3u);
+}
+
+// --- ContinuousBatch without a server ---------------------------------------
+
+PendingPtr pending_for(const ModelRegistry::EntryPtr& entry, GenRequest req) {
+  auto p = std::make_shared<Pending>();
+  p->req = std::move(req);
+  p->entry = entry;
+  return p;
+}
+
+/// A batch's retire callback: each response by request id, and how many
+/// steps had run when it retired.
+struct Retirements {
+  std::map<std::uint64_t, GenResponse> resp;
+  std::map<std::uint64_t, int> at_step;
+  int steps = 0;
+
+  std::function<void(Retired)> sink() {
+    return [this](Retired r) {
+      at_step[r.p->req.id] = steps;
+      resp[r.p->req.id] = std::move(r.resp);
+    };
+  }
+  void step(ContinuousBatch& batch) {
+    ++steps;
+    batch.step();
+  }
+  void drain(ContinuousBatch& batch) {
+    while (!batch.empty()) step(batch);
+  }
+};
+
+// A request admitted at exactly step 3 of a running 9-step request: both
+// stay bitwise equal to their sequential references, and every count is
+// exact.
+TEST(ServeBatch, AdmitAtStepThreeIsBitwise) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  GenRequest first = sample_req(1, 31, 1);
+  first.steps = 9;
+  GenRequest late = sample_req(2, 32, 2);  // model default: 4 steps
+  late.op = GenRequest::Op::kInpaint;
+  late.tmpl = bar_template(entry->cfg.clip_size);
+  late.mask = entry->masks[0];
+
+  Retirements out;
+  ContinuousBatch batch(16, out.sink());
+  batch.admit(pending_for(entry, first));
+  for (int i = 0; i < 3; ++i) out.step(batch);
+  ASSERT_TRUE(out.resp.empty());
+  batch.admit(pending_for(entry, late));
+  EXPECT_EQ(batch.rows(), 3);
+  out.drain(batch);
+
+  EXPECT_EQ(out.at_step.at(2), 7);
+  EXPECT_EQ(out.at_step.at(1), 9);
+  for (const GenRequest& req : {first, late}) {
+    const GenResponse& r = out.resp.at(req.id);
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_EQ(r.batch_samples, 3);
+    EXPECT_EQ(r.patterns, sequential_reference(entry, req))
+        << "request " << req.id;
+  }
+  const BatchCounts c = batch.take_counts();
+  EXPECT_EQ(c.batches, 1u);
+  EXPECT_EQ(c.samples, 3u);
+  EXPECT_EQ(c.joins, 2u);    // the late request's rows
+  EXPECT_EQ(c.repacks, 1u);  // its finish left the first request running
+  EXPECT_EQ(c.leaves, 0u);
+  EXPECT_EQ(c.finished, 2u);
+}
+
+// A member cancelled at step 2 and one whose deadline passes at an injected
+// time leave with their own codes; the survivors keep their bits.
+TEST(ServeBatch, CancelAndDeadlineLeaveWithTheirOwnCodes) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  std::vector<GenRequest> reqs = {sample_req(1, 41, 2), sample_req(2, 42, 3),
+                                  sample_req(3, 43, 1, /*finish=*/false),
+                                  sample_req(4, 44, 2)};
+  reqs[3].op = GenRequest::Op::kInpaint;
+  reqs[3].tmpl = bar_template(entry->cfg.clip_size);
+  reqs[3].mask = entry->masks[0];
+  Retirements out;
+  ContinuousBatch batch(16, out.sink());
+  std::vector<PendingPtr> ps;
+  for (GenRequest& req : reqs) {
+    req.steps = 9;
+    ps.push_back(pending_for(entry, req));
+    batch.admit(ps.back());
+  }
+  const Clock::time_point t0 = Clock::now();
+  ps[1]->has_deadline = true;
+  ps[1]->deadline = t0 + std::chrono::hours(1);
+
+  for (int i = 0; i < 2; ++i) out.step(batch);
+  ps[0]->cancelled = true;
+  batch.leave(t0);
+  ASSERT_EQ(out.resp.size(), 1u);
+  EXPECT_EQ(out.resp.at(1).error, ErrorCode::kCancelled);
+  EXPECT_EQ(batch.rows(), 6);
+
+  out.step(batch);
+  batch.leave(ps[1]->deadline - std::chrono::nanoseconds(1));
+  EXPECT_EQ(out.resp.size(), 1u);
+  batch.leave(ps[1]->deadline);
+  ASSERT_EQ(out.resp.size(), 2u);
+  EXPECT_EQ(out.resp.at(2).error, ErrorCode::kTimeout);
+  EXPECT_EQ(batch.rows(), 3);
+
+  out.drain(batch);
+  for (std::size_t i : {2u, 3u}) {
+    const GenResponse& r = out.resp.at(reqs[i].id);
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_EQ(r.patterns, sequential_reference(entry, reqs[i]))
+        << "request " << reqs[i].id;
+  }
+  const BatchCounts c = batch.take_counts();
+  EXPECT_EQ(c.leaves, 5u);   // 2 cancelled rows + 3 expired rows
+  EXPECT_EQ(c.repacks, 2u);  // both leaves left rows running
+  EXPECT_EQ(c.joins, 6u);    // every row after the first request's
+  EXPECT_EQ(c.finished, 2u);
+}
+
+// An expansion beside a sample request, under a 2-row cap, commits the
+// canvas the in-process engine builds.
+TEST(ServeBatch, ExpansionBesideSampleUnderTwoRowCap) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  Raster seed(12, 10, 0);
+  seed.fill_rect(Rect{1, 1, 11, 5}, 1);
+  const expand::ExpandResult ref =
+      expand::expand_layout(*entry->pp, seed, 32, 24, 77);
+
+  GenRequest x;
+  x.id = 1;
+  x.op = GenRequest::Op::kExpand;
+  x.model = "t";
+  x.seed = 77;
+  x.tmpl = seed;
+  x.target_w = 32;
+  x.target_h = 24;
+  const GenRequest s = sample_req(2, 5, 1);
+  Retirements out;
+  ContinuousBatch batch(2, out.sink());
+  batch.admit(pending_for(entry, x));
+  batch.admit(pending_for(entry, s));
+  out.drain(batch);
+
+  const GenResponse& xr = out.resp.at(1);
+  ASSERT_TRUE(xr.ok()) << xr.message;
+  ASSERT_EQ(xr.patterns.size(), 1u);
+  EXPECT_TRUE(xr.patterns[0] == ref.canvas);
+  EXPECT_EQ(xr.expand_windows, ref.stats.windows_total);
+  EXPECT_EQ(xr.batch_samples, 2);
+  const GenResponse& sr = out.resp.at(2);
+  ASSERT_TRUE(sr.ok()) << sr.message;
+  EXPECT_EQ(sr.patterns, sequential_reference(entry, s));
+}
+
+// A done callback runs after its request left the in-flight set, so a
+// cancel() from there finds nothing to cancel.
+TEST(Serve, CancelFromDoneCallbackFindsNothing) {
+  auto registry = tiny_registry();
+  GenerationServer server(registry);
+  server.start();
+  std::promise<bool> found;
+  server.submit(sample_req(5, 5), [&](GenResponse r) {
+    EXPECT_TRUE(r.ok()) << r.message;
+    found.set_value(server.cancel(5));
+  });
+  EXPECT_FALSE(found.get_future().get());
+  server.shutdown();
 }
 
 // Per-request sampler knobs are validated against the model's schedule at
