@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -12,17 +11,14 @@
 #include <vector>
 
 #include "obs/env.hpp"
-#include "obs/metrics.hpp"
 
 namespace pp {
 namespace {
 
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// True while this thread executes chunks of a pool job. The pool runs one
+/// job at a time, so a parallel_for called from inside a chunk runs inline
+/// instead of waiting for the job its own caller holds.
+thread_local bool t_in_chunk = false;
 
 /// One parallel_for dispatch. Shared (via shared_ptr) between the caller
 /// and every worker that observes it, so a worker waking late — even after
@@ -36,7 +32,6 @@ struct Job {
   /// their last. run() completes when the caller has drained the chunk
   /// counter and this returns to zero.
   std::atomic<int> active{0};
-  std::uint64_t publish_ns = 0;
   std::mutex err_m;
   std::exception_ptr first_error;
 };
@@ -54,15 +49,9 @@ class Pool {
 
   void run(std::size_t begin, std::size_t end,
            const std::function<void(std::size_t, std::size_t)>& fn) {
-    static obs::Counter& inline_jobs =
-        obs::metrics().counter("pool.inline_jobs");
-    static obs::Counter& jobs = obs::metrics().counter("pool.jobs");
-    static obs::Histogram& job_ns = obs::metrics().histogram("pool.job_ns");
-
     std::size_t n = end - begin;
     std::size_t nthreads = std::min(size(), n);
-    if (nthreads <= 1) {
-      inline_jobs.add(1);
+    if (nthreads <= 1 || t_in_chunk) {
       fn(begin, end);
       return;
     }
@@ -72,7 +61,6 @@ class Pool {
     job->begin = begin;
     job->end = end;
     job->chunk = (n + nthreads - 1) / nthreads;
-    job->publish_ns = mono_ns();
     {
       std::lock_guard<std::mutex> lk(m_);
       current_job_ = job;
@@ -90,8 +78,6 @@ class Pool {
       });
       current_job_.reset();
     }
-    jobs.add(1);
-    job_ns.observe(static_cast<double>(mono_ns() - job->publish_ns));
     if (job->first_error) std::rethrow_exception(job->first_error);
   }
 
@@ -117,8 +103,6 @@ class Pool {
   }
 
   void worker_loop() {
-    static obs::Histogram& wait_ns =
-        obs::metrics().histogram("pool.job_wait_ns");
     std::uint64_t seen = 0;
     for (;;) {
       std::shared_ptr<Job> job;
@@ -130,7 +114,6 @@ class Pool {
         job = current_job_;
       }
       if (!job) continue;
-      wait_ns.observe(static_cast<double>(mono_ns() - job->publish_ns));
       work_chunks(*job);
     }
   }
@@ -139,15 +122,13 @@ class Pool {
   /// claim/execute phase, so `active == 0` while the counter is exhausted
   /// means no callback invocation is in flight anywhere.
   void work_chunks(Job& job) {
-    static obs::Counter& chunk_counter = obs::metrics().counter("pool.chunks");
     job.active.fetch_add(1, std::memory_order_acquire);
-    std::size_t executed = 0;
+    t_in_chunk = true;
     for (;;) {
       std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
       std::size_t lo = job.begin + c * job.chunk;
       if (lo >= job.end || c * job.chunk >= job.end - job.begin) break;
       std::size_t hi = std::min(job.end, lo + job.chunk);
-      ++executed;
       try {
         (*job.fn)(lo, hi);
       } catch (...) {
@@ -155,7 +136,7 @@ class Pool {
         if (!job.first_error) job.first_error = std::current_exception();
       }
     }
-    if (executed) chunk_counter.add(executed);
+    t_in_chunk = false;
     if (job.active.fetch_sub(1, std::memory_order_release) == 1) {
       std::lock_guard<std::mutex> lk(m_);
       done_cv_.notify_all();

@@ -19,8 +19,9 @@ inline constexpr std::size_t kMaxPoolThreads = 256;
 std::size_t parallel_thread_count();
 
 /// Runs fn(i) for every i in [begin, end), potentially in parallel.
-/// Falls back to a serial loop for small ranges. Exceptions thrown by fn are
-/// rethrown (first one wins) on the calling thread.
+/// Falls back to a serial loop for small ranges, and runs inline on the
+/// calling thread when called from inside another call's fn. Exceptions
+/// thrown by fn are rethrown (first one wins) on the calling thread.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

@@ -8,7 +8,6 @@
 #include "denoise/template_denoise.hpp"
 #include "diffusion/convert.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "patterngen/random_clips.hpp"
 #include "select/representative.hpp"
@@ -196,11 +195,8 @@ std::vector<GenerationRecord> PatternPaint::finish_samples(
     const std::vector<std::uint64_t>& bases) const {
   PP_TRACE_SPAN("pp.finish");
   PP_REQUIRE(raws.size() == tmpls.size() && raws.size() == bases.size());
-  static obs::Counter& par_chunks =
-      obs::metrics().counter("pp.finish.par_chunks");
   std::vector<GenerationRecord> records(raws.size());
   parallel_for_chunks(0, raws.size(), [&](std::size_t lo, std::size_t hi) {
-    par_chunks.add(1);
     for (std::size_t j = lo; j < hi; ++j) {
       Rng stream = Rng::stream(bases[j], 0);
       records[j] = finish_one(raws[j], tmpls[j], stream);
@@ -214,9 +210,6 @@ std::vector<GenerationRecord> PatternPaint::generate_for(
     const std::vector<int>& counts) {
   PP_REQUIRE(templates.size() == masks.size() &&
              templates.size() == counts.size());
-  static obs::Counter& generated = obs::metrics().counter("pp.generated");
-  static obs::Counter& legal = obs::metrics().counter("pp.legal");
-
   // Stage 1 (serial): inpaint every pair, collecting the flat sample list.
   std::vector<Raster> raws, tmpl_of;
   for (std::size_t i = 0; i < templates.size(); ++i) {
@@ -235,10 +228,8 @@ std::vector<GenerationRecord> PatternPaint::generate_for(
   // Stage 3 (serial merge, deterministic sample order): counters + library.
   for (const GenerationRecord& rec : records) {
     ++total_generated_;
-    generated.add(1);
     if (rec.legal) {
       ++total_legal_;
-      legal.add(1);
       library_.add(rec.denoised);
     }
   }

@@ -396,9 +396,7 @@ nn::Tensor Ddpm::inpaint(const Tensor& known, const Tensor& mask,
                          const std::vector<std::uint64_t>& bases,
                          const SamplerParams& params) const {
   PP_TRACE_SPAN("ddpm.inpaint");
-  static obs::Counter& calls = obs::metrics().counter("ddpm.inpaint.calls");
   static obs::Counter& samples = obs::metrics().counter("ddpm.inpaint.samples");
-  calls.add(1);
   PP_REQUIRE_MSG(known.ndim() == 4 && known.dim(1) == 1,
                  "inpaint: known {N,1,H,W}");
   PP_REQUIRE(known.same_shape(mask));

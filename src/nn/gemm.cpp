@@ -7,8 +7,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "nn/simd_kernels.hpp"
-#include "nn/workspace.hpp"
-#include "obs/metrics.hpp"
+#include "nn/tensor.hpp"
 
 namespace pp::nn {
 
@@ -25,11 +24,6 @@ void rows_parallel(int m, const std::function<void(std::size_t, std::size_t)>& f
     return;
   }
   parallel_for_chunks(0, static_cast<std::size_t>(m), fn);
-}
-
-void note_fused_epilogue() {
-  static obs::Counter& c = obs::metrics().counter("nn.gemm.epilogue.fused");
-  c.add(1);
 }
 
 // Runs inside the same chunk that produced rows [lo, hi), so the epilogue
@@ -62,7 +56,6 @@ void sgemm_nn(int M, int N, int K, const float* A, int lda, const float* B,
   PP_REQUIRE_MSG(!epilogue || !accumulate,
                  "GEMM epilogue requires accumulate=false");
   const detail::KernelTable& kt = detail::active_kernels();
-  if (epilogue) note_fused_epilogue();
   rows_parallel(M, [&](std::size_t lo, std::size_t hi) {
     kt.gemm_nn(lo, hi, N, K, A, lda, B, ldb, C, ldc, accumulate);
     if (epilogue) apply_epilogue_rows(kt, *epilogue, lo, hi, N, C, ldc);
@@ -75,7 +68,6 @@ void sgemm_nt(int M, int N, int K, const float* A, int lda, const float* B,
   PP_REQUIRE_MSG(!epilogue || !accumulate,
                  "GEMM epilogue requires accumulate=false");
   const detail::KernelTable& kt = detail::active_kernels();
-  if (epilogue) note_fused_epilogue();
   rows_parallel(M, [&](std::size_t lo, std::size_t hi) {
     kt.gemm_nt(lo, hi, N, K, A, lda, B, ldb, C, ldc, accumulate);
     if (epilogue) apply_epilogue_rows(kt, *epilogue, lo, hi, N, C, ldc);
@@ -88,7 +80,6 @@ void sgemm_tn(int M, int N, int K, const float* A, int lda, const float* B,
   PP_REQUIRE_MSG(!epilogue || !accumulate,
                  "GEMM epilogue requires accumulate=false");
   const detail::KernelTable& kt = detail::active_kernels();
-  if (epilogue) note_fused_epilogue();
   rows_parallel(M, [&](std::size_t lo, std::size_t hi) {
     kt.gemm_tn(lo, hi, N, K, A, lda, B, ldb, C, ldc, accumulate);
     if (epilogue) apply_epilogue_rows(kt, *epilogue, lo, hi, N, C, ldc);
@@ -99,7 +90,6 @@ void sconv3x3_s1(int Co, int Ci, int H, int W, const float* A,
                  const float* x, float* C, const GemmEpilogue* epilogue) {
   const detail::KernelTable& kt = detail::active_kernels();
   PP_REQUIRE_MSG(kt.conv3x3_s1, "sconv3x3_s1: no kernel on this ISA");
-  if (epilogue) note_fused_epilogue();
   const int P = H * W;
   rows_parallel(Co, [&](std::size_t lo, std::size_t hi) {
     kt.conv3x3_s1(lo, hi, Ci, H, W, A, x, C);
@@ -126,14 +116,11 @@ void sconv3x3_s1_grad_weight(int Co, int Ci, int H, int W, const float* g,
   // are built once, here on the calling thread, and shared read-only.
   const int P = H * W;
   const int blocks = (P + 15) / 16;
-  Workspace& ws = Workspace::tls();
-  WorkspaceScope scope(ws);
-  auto* masks = reinterpret_cast<std::uint16_t*>(
-      ws.alloc((static_cast<std::size_t>(blocks) * 9 + 1) / 2));
+  Scratch<std::uint16_t> masks(static_cast<std::size_t>(blocks) * 9);
   for (int b = 0, col = 0; b < blocks; ++b, col = (col + 16) % W)
-    detail::conv3x3_tap_masks(16 * b, col, W, P, masks + 9 * b);
+    detail::conv3x3_tap_masks(16 * b, col, W, P, masks.get() + 9 * b);
   rows_parallel(Co, [&](std::size_t lo, std::size_t hi) {
-    kt.conv3x3_s1_gw(lo, hi, Ci, H, W, g, x, masks, gw);
+    kt.conv3x3_s1_gw(lo, hi, Ci, H, W, g, x, masks.get(), gw);
   });
 }
 
@@ -227,16 +214,12 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
   PP_REQUIRE_MSG(epilogue && (epilogue->dequant_row || epilogue->dequant_col),
                  "quantized GEMM requires a dequantizing epilogue");
   const detail::KernelTable& kt = detail::active_kernels();
-  note_fused_epilogue();
-  Workspace& ws = Workspace::tls();
-  WorkspaceScope scope(ws);
   const std::int16_t* bp = B;
+  Scratch<std::int16_t> packed;
   if (b_layout != I8Layout::kPacked) {
-    const std::size_t packed_n = packed_i8_size(N, K);
-    std::int16_t* scratch =
-        reinterpret_cast<std::int16_t*>(ws.alloc((packed_n + 1) / 2));
-    pack_i8_b(B, N, K, b_layout, ldb, scratch);
-    bp = scratch;
+    packed = Scratch<std::int16_t>(packed_i8_size(N, K));
+    pack_i8_b(B, N, K, b_layout, ldb, packed.get());
+    bp = packed.get();
   }
   // Dequantization is fused into the kernel's register-level store (same
   // one-multiply-per-term arithmetic as a separate pass, so results are

@@ -9,7 +9,6 @@
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 #include "nn/simd_kernels.hpp"
-#include "nn/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -91,11 +90,6 @@ float absmax_scalar(const float* x, std::size_t n) {
     if (a > m) m = a;
   }
   return m;
-}
-
-/// Workspace scratch for n int16 values (the arena hands out floats).
-std::int16_t* alloc_i16(Workspace& ws, std::size_t n) {
-  return reinterpret_cast<std::int16_t*>(ws.alloc((n + 1) / 2));
 }
 
 /// The quantized table for this weight when the calling thread's precision
@@ -276,11 +270,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   const int K2 = d.Ci * d.Kh * d.Kw;
   const int P = d.Ho * d.Wo;
   const bool pointwise = is_pointwise(d, stride, pad);
-  Workspace& ws = Workspace::tls();
-  WorkspaceScope scope(ws);
-  float* col = pointwise || implicit
-                   ? nullptr
-                   : ws.alloc(static_cast<std::size_t>(K2) * P);
+  Scratch<float> col(
+      pointwise || implicit ? 0 : static_cast<std::size_t>(K2) * P);
   // Bias (one value per output-channel row) runs as a fused epilogue on
   // each row chunk right after the GEMM writes it.
   GemmEpilogue epi;
@@ -292,36 +283,38 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
     // panel stays in im2col's natural {K2, P} order — sgemm_i8_nt
     // pair-packs it directly (I8Layout::kKN), no transpose pass. The
     // epilogue dequantizes each row by scales[co]·a_scale, then adds bias.
-    std::int16_t* qpanel = alloc_i16(ws, static_cast<std::size_t>(K2) * P);
+    Scratch<std::int16_t> qpanel(static_cast<std::size_t>(K2) * P);
     epi.dequant_row = qw->scales.data();
     for (int n = 0; n < d.N; ++n) {
       const float* xn =
           x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
       const float* colp = xn;
       if (!pointwise) {
-        im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
-        colp = col;
+        im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo,
+               col.get());
+        colp = col.get();
       }
       const float amax =
           absmax_scalar(colp, static_cast<std::size_t>(K2) * P);
       const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
-      detail::active_kernels().quantize_s8(colp, inv, qpanel,
+      detail::active_kernels().quantize_s8(colp, inv, qpanel.get(),
                                            static_cast<std::size_t>(K2) * P);
       epi.dequant_scale = amax / 127.0f;
       float* on = out.data() + static_cast<std::size_t>(n) * d.Co * P;
-      sgemm_i8_nt(d.Co, P, K2, qw->q16.data(), K2, qpanel, P, on, P, &epi,
-                  I8Layout::kKN);
+      sgemm_i8_nt(d.Co, P, K2, qw->q16.data(), K2, qpanel.get(), P, on, P,
+                  &epi, I8Layout::kKN);
     }
     return out;
   }
   const float* wp = w.data();
+  Scratch<float> wf;
   if (qw && prec == Precision::kBf16) {
     // bf16 tier: widen the stored bf16 weights back to fp32 (exact) once
     // per call and run the normal fp32 kernels on the rounded values.
-    float* wf = ws.alloc(static_cast<std::size_t>(d.Co) * K2);
-    detail::active_kernels().widen_bf16(qw->bf16.data(), wf,
+    wf = Scratch<float>(static_cast<std::size_t>(d.Co) * K2);
+    detail::active_kernels().widen_bf16(qw->bf16.data(), wf.get(),
                                         static_cast<std::size_t>(d.Co) * K2);
-    wp = wf;
+    wp = wf.get();
   }
   for (int n = 0; n < d.N; ++n) {
     const float* xn = x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
@@ -332,8 +325,9 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
     }
     const float* colp = xn;
     if (!pointwise) {
-      im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
-      colp = col;
+      im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo,
+             col.get());
+      colp = col.get();
     }
     sgemm_nn(d.Co, P, K2, wp, K2, colp, P, on, P, /*accumulate=*/false,
              &epi);
@@ -385,16 +379,14 @@ void conv2d_grad_weight(const Tensor& x, const Tensor& gout, Tensor& gw,
     return;
   }
   const bool pointwise = is_pointwise(d, stride, pad);
-  Workspace& ws = Workspace::tls();
-  WorkspaceScope scope(ws);
-  float* col = pointwise ? nullptr
-                         : ws.alloc(static_cast<std::size_t>(K2) * P);
+  Scratch<float> col(pointwise ? 0 : static_cast<std::size_t>(K2) * P);
   for (int n = 0; n < d.N; ++n) {
     const float* xn = x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
     const float* colp = xn;
     if (!pointwise) {
-      im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
-      colp = col;
+      im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo,
+             col.get());
+      colp = col.get();
     }
     const float* gn = gout.data() + static_cast<std::size_t>(n) * d.Co * P;
     sgemm_nt(d.Co, K2, P, gn, P, colp, P, gw.data(), K2, /*accumulate=*/true);
@@ -421,10 +413,7 @@ void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
     return;
   }
   const bool pointwise = is_pointwise(d, stride, pad);
-  Workspace& ws = Workspace::tls();
-  WorkspaceScope scope(ws);
-  float* colg = pointwise ? nullptr
-                          : ws.alloc(static_cast<std::size_t>(K2) * P);
+  Scratch<float> colg(pointwise ? 0 : static_cast<std::size_t>(K2) * P);
   for (int n = 0; n < d.N; ++n) {
     const float* gn = gout.data() + static_cast<std::size_t>(n) * d.Co * P;
     float* gxn = gx.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
@@ -432,9 +421,10 @@ void conv2d_grad_input(const Tensor& w, const Tensor& gout, Tensor& gx,
       // col grad IS the input grad layout: accumulate straight into gx.
       sgemm_tn(K2, P, d.Co, w.data(), K2, gn, P, gxn, P, /*accumulate=*/true);
     } else {
-      sgemm_tn(K2, P, d.Co, w.data(), K2, gn, P, colg, P, /*accumulate=*/false);
-      col2im_add(colg, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo,
-                 gxn);
+      sgemm_tn(K2, P, d.Co, w.data(), K2, gn, P, colg.get(), P,
+               /*accumulate=*/false);
+      col2im_add(colg.get(), d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho,
+                 d.Wo, gxn);
     }
   }
 }
@@ -452,28 +442,25 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b) {
   if (qw && prec == Precision::kInt8) {
     // out{N,O} = Xq{N,I} · Wq{O,I}^T; column o dequantizes by
     // scales[o]·a_scale, precombined below so the epilogue is one mul.
-    Workspace& ws = Workspace::tls();
-    WorkspaceScope scope(ws);
     const std::size_t total = static_cast<std::size_t>(N) * I;
-    std::int16_t* qx = alloc_i16(ws, total);
+    Scratch<std::int16_t> qx(total);
     const float amax = absmax_scalar(x.data(), total);
     const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
-    detail::active_kernels().quantize_s8(x.data(), inv, qx, total);
+    detail::active_kernels().quantize_s8(x.data(), inv, qx.get(), total);
     const float a_scale = amax / 127.0f;
-    float* deq = ws.alloc(static_cast<std::size_t>(O));
+    Scratch<float> deq(static_cast<std::size_t>(O));
     for (int o = 0; o < O; ++o)
-      deq[o] = qw->scales[static_cast<std::size_t>(o)] * a_scale;
-    epi.dequant_col = deq;
-    sgemm_i8_nt(N, O, I, qx, I, qw->q16.data(), I, out.data(), O, &epi);
+      deq.get()[o] = qw->scales[static_cast<std::size_t>(o)] * a_scale;
+    epi.dequant_col = deq.get();
+    sgemm_i8_nt(N, O, I, qx.get(), I, qw->q16.data(), I, out.data(), O,
+                &epi);
     return out;
   }
   if (qw && prec == Precision::kBf16) {
-    Workspace& ws = Workspace::tls();
-    WorkspaceScope scope(ws);
-    float* wf = ws.alloc(static_cast<std::size_t>(O) * I);
-    detail::active_kernels().widen_bf16(qw->bf16.data(), wf,
+    Scratch<float> wf(static_cast<std::size_t>(O) * I);
+    detail::active_kernels().widen_bf16(qw->bf16.data(), wf.get(),
                                         static_cast<std::size_t>(O) * I);
-    sgemm_nt(N, O, I, x.data(), I, wf, I, out.data(), O,
+    sgemm_nt(N, O, I, x.data(), I, wf.get(), I, out.data(), O,
              /*accumulate=*/false, &epi);
     return out;
   }

@@ -11,12 +11,13 @@
 // conv2d dispatches between two algorithms:
 //   * kDirect — the original nested-loop convolution, cheapest for tiny
 //     problems where im2col overhead dominates;
-//   * kGemm — im2col packing into the thread-local Workspace followed by a
-//     blocked SGEMM (see gemm.hpp); im2col writes one (channel, tap) block
-//     at a time, a single shifted copy of the plane for stride-1 convs
-//     whose output is as wide as the input. 1x1/stride-1/pad-0 convs skip
-//     the packing entirely and GEMM straight over the input plane. On
-//     AVX-512, fp32 and bf16 3x3/stride-1/pad-1 convs skip it too: the
+//   * kGemm — im2col packing into a col buffer the call owns (Scratch,
+//     tensor.hpp) followed by a blocked SGEMM (see gemm.hpp); im2col writes
+//     one (channel, tap) block at a time, a single shifted copy of the
+//     plane for stride-1 convs whose output is as wide as the input.
+//     1x1/stride-1/pad-0 convs skip the packing entirely and GEMM straight
+//     over the input plane. On AVX-512, fp32 and bf16 3x3/stride-1/pad-1
+//     convs skip it too: the
 //     kernel reads each B vector straight from the plane under per-tap
 //     lane masks (sconv3x3_s1, span nn.conv2d.implicit), bitwise equal to
 //     im2col + SGEMM. Scalar, AVX2 and int8 keep im2col.

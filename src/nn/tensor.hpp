@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -39,6 +40,25 @@ struct AlignedAllocator {
 };
 
 using AlignedVec = std::vector<float, AlignedAllocator<float>>;
+
+/// Kernel scratch (col buffers, packed panels): n uninitialized,
+/// 64-byte-aligned elements, freed when the owning scope ends; null when n
+/// is 0. Not AlignedVec, whose zero-fill costs about as much as the conv
+/// that reads the buffer. Exactly n, so ASan checks every read; the heap
+/// policy (tensor.cpp) keeps the freed block mapped for the next call.
+template <typename T>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n = 0)
+      : p_(n ? AlignedAllocator<T>().allocate(n) : nullptr) {}
+  T* get() const { return p_.get(); }
+
+ private:
+  struct Free {
+    void operator()(T* p) const { AlignedAllocator<T>().deallocate(p, 0); }
+  };
+  std::unique_ptr<T[], Free> p_;
+};
 
 class Tensor {
  public:

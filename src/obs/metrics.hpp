@@ -4,8 +4,8 @@
 // one relaxed atomic add, a histogram observation is two. Call sites cache
 // the registry lookup in a function-local static:
 //
-//   static Counter& generated = metrics().counter("pp.generated");
-//   generated.add(1);
+//   static Counter& checks = metrics().counter("drc.checks");
+//   checks.add(1);
 //
 // Histograms are log-bucketed (64 geometric buckets spanning 1 ns .. ~100 s
 // when fed nanoseconds, or any other positive unit): percentile queries

@@ -423,8 +423,7 @@ void NetServer::read_ready(int fd) {
     if (line.empty()) continue;
     ++handled_;
     nm.lines.add(1);
-    DispatchResult r =
-        dispatch_line(line, server_, registry_, cfg_.transport, c.sink);
+    DispatchResult r = dispatch_line(line, server_, registry_, c.sink);
     if (r.shutdown) {
       shutdown_requested_ = true;
       shutdown_conn_fd_ = static_cast<std::uint64_t>(fd);
@@ -438,8 +437,7 @@ void NetServer::read_ready(int fd) {
     if (!c.inbuf.empty() && !shutdown_requested_) {
       ++handled_;
       nm.lines.add(1);
-      DispatchResult r =
-          dispatch_line(c.inbuf, server_, registry_, cfg_.transport, c.sink);
+      DispatchResult r = dispatch_line(c.inbuf, server_, registry_, c.sink);
       if (r.shutdown) {
         shutdown_requested_ = true;
         shutdown_conn_fd_ = static_cast<std::uint64_t>(fd);

@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "drc/rules.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "select/masks.hpp"
 #include "serve/protocol.hpp"
 
@@ -68,7 +67,6 @@ bool ModelSpec::from_json(const obs::Json& j, ModelSpec* out,
 }
 
 ModelRegistry::EntryPtr ModelRegistry::load(const ModelSpec& spec) {
-  static obs::Counter& loads = obs::metrics().counter("serve.model_loads");
   if (spec.key.empty()) throw ConfigError("ModelSpec: empty registry key");
   auto entry = std::make_shared<Entry>();
   entry->spec = spec;
@@ -89,7 +87,6 @@ ModelRegistry::EntryPtr ModelRegistry::load(const ModelSpec& spec) {
     entry->route = next_route_++;
   }
   entries_[spec.key] = entry;
-  loads.add(1);
   PP_LOG(Info) << "serve: model '" << spec.key << "' gen " << entry->generation
                << " preset " << spec.preset << " clip " << entry->cfg.clip_size
                << (entry->trained ? " (checkpoint loaded)" : " (untrained)");

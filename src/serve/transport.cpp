@@ -100,7 +100,6 @@ obs::Json shutdown_ack(std::uint64_t id) {
 
 DispatchResult dispatch_line(const std::string& line,
                              GenerationServer& server, ModelRegistry& registry,
-                             const TransportOptions& opt,
                              const std::shared_ptr<ResponseSink>& sink) {
   DispatchResult result;
   std::string perr;
@@ -137,11 +136,6 @@ DispatchResult dispatch_line(const std::string& line,
     o.set("health", server.health_json());
     sink->write(o);
   } else if (op == "load") {
-    if (!opt.allow_load) {
-      sink->write(error_response(id, ErrorCode::kBadRequest,
-                                 "load is disabled on this transport"));
-      return result;
-    }
     ModelSpec spec;
     std::string err;
     if (!ModelSpec::from_json(j, &spec, &err)) {
@@ -172,11 +166,6 @@ DispatchResult dispatch_line(const std::string& line,
     o.set("found", obs::Json(server.cancel(target)));
     sink->write(o);
   } else if (op == "shutdown") {
-    if (!opt.allow_shutdown) {
-      sink->write(error_response(id, ErrorCode::kBadRequest,
-                                 "shutdown is disabled on this transport"));
-      return result;
-    }
     result.shutdown = true;
     result.shutdown_id = id;
   } else if (op == "sample" || op == "inpaint" || op == "expand") {
@@ -198,8 +187,7 @@ DispatchResult dispatch_line(const std::string& line,
 }
 
 StreamResult serve_stream(int in_fd, int out_fd, GenerationServer& server,
-                          ModelRegistry& registry,
-                          const TransportOptions& opt) {
+                          ModelRegistry& registry) {
   auto writer = std::make_shared<ResponseWriter>(out_fd);
   LineReader reader(in_fd);
   server.start();
@@ -211,7 +199,7 @@ StreamResult serve_stream(int in_fd, int out_fd, GenerationServer& server,
   while (!shutdown_requested && reader.next(line)) {
     if (line.empty()) continue;
     ++handled;
-    DispatchResult r = dispatch_line(line, server, registry, opt, writer);
+    DispatchResult r = dispatch_line(line, server, registry, writer);
     if (r.shutdown) {
       shutdown_requested = true;
       shutdown_id = r.shutdown_id;

@@ -27,11 +27,6 @@
 
 namespace pp::serve {
 
-struct TransportOptions {
-  bool allow_load = true;      ///< permit "load" (model registration) ops
-  bool allow_shutdown = true;  ///< permit "shutdown" ops
-};
-
 struct StreamResult {
   int handled = 0;        ///< request lines processed
   bool shutdown = false;  ///< a shutdown op ended the loop
@@ -64,7 +59,6 @@ struct DispatchResult {
 /// then writes ok_response(shutdown_id) with "draining":true itself.
 DispatchResult dispatch_line(const std::string& line,
                              GenerationServer& server, ModelRegistry& registry,
-                             const TransportOptions& opt,
                              const std::shared_ptr<ResponseSink>& sink);
 
 /// Shutdown acknowledgement line ({"id":..,"ok":true,"draining":true}).
@@ -74,8 +68,7 @@ obs::Json shutdown_ack(std::uint64_t id);
 /// drains the server (GenerationServer::shutdown): every accepted request's
 /// response is written before the call returns.
 StreamResult serve_stream(int in_fd, int out_fd, GenerationServer& server,
-                          ModelRegistry& registry,
-                          const TransportOptions& opt = {});
+                          ModelRegistry& registry);
 
 /// One '\n'-terminated line in a single write() call (clients, tests).
 /// Returns false on a write error.

@@ -259,6 +259,20 @@ TEST(Parallel, ReentrantSequentialJobs) {
   EXPECT_EQ(b.load(), 300);
 }
 
+TEST(Parallel, NestedCallRunsInline) {
+  // The pool runs one job at a time: a call from inside a chunk must not
+  // wait for the job its own caller holds.
+  if (parallel_thread_count() <= 1)
+    GTEST_SKIP() << "a width-1 pool never nests";
+  constexpr std::size_t kOuter = 8, kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for(0, kOuter, [&](std::size_t i) {
+    parallel_for(0, kInner,
+                 [&](std::size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 // Strings only: a pool is never built at any of these widths.
 TEST(Parallel, ThreadCountParseIsStrictAndBounded) {
   // PP_THREADS's bounds through the shared strict parser; 0 = rejected.

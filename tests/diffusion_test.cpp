@@ -18,6 +18,7 @@
 #include "diffusion/ddpm.hpp"
 #include "diffusion/schedule.hpp"
 #include "diffusion/unet.hpp"
+#include "nn/simd.hpp"
 
 namespace pp {
 namespace {
@@ -197,9 +198,11 @@ TEST(UNet, InferAllocatesNoGraphNodes) {
 }
 
 TEST(UNet, RepeatedInferKeepsItsHeapMapped) {
-  // Heap policy (DESIGN.md): glibc keeps the activations of one infer
-  // mapped for the next, so a warm call takes no minor page faults. Under
-  // glibc's adaptive thresholds it took about 100 per row per call.
+  // Heap policy (DESIGN.md): glibc keeps the activations and kernel
+  // scratch of one infer mapped for the next, so a warm call takes no
+  // minor page faults. Under glibc's adaptive thresholds it took about 100
+  // per row per call. Checked under every ISA: scalar and AVX2 take a col
+  // buffer for every 3x3 conv, AVX-512 only for the stride-2 ones.
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "ASan's allocator ignores mallopt";
 #elif !defined(__GLIBC__) || !defined(__linux__)
@@ -220,16 +223,20 @@ TEST(UNet, RepeatedInferKeepsItsHeapMapped) {
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<long>(ru.ru_minflt);
   };
-  // Two warm-up calls: the first sizes the thread-local Workspace and
-  // coalesces it into one block as it returns, so the second is the first
-  // to lay activations out as every later call does.
-  for (int i = 0; i < 2; ++i) net.infer(x, t);
-  const long before = minor_faults();
-  for (int i = 0; i < kCalls; ++i) net.infer(x, t);
-  const long faults = minor_faults() - before;
-  EXPECT_LT(faults, kRows * kCalls)
-      << faults << " minor faults over " << kCalls << " batch-" << kRows
-      << " calls";
+  for (nn::Isa isa : {nn::Isa::kScalar, nn::Isa::kAvx2, nn::Isa::kAvx512}) {
+    if (!nn::isa_usable(isa)) continue;
+    nn::force_isa(isa);
+    // One warm-up call grows the heap to a call's high-water mark, which
+    // the policy then keeps mapped for every later call.
+    net.infer(x, t);
+    const long before = minor_faults();
+    for (int i = 0; i < kCalls; ++i) net.infer(x, t);
+    const long faults = minor_faults() - before;
+    nn::clear_forced_isa();
+    EXPECT_LT(faults, kRows * kCalls)
+        << nn::isa_name(isa) << ": " << faults << " minor faults over "
+        << kCalls << " batch-" << kRows << " calls";
+  }
 #endif
 }
 

@@ -15,7 +15,6 @@
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
-#include "nn/workspace.hpp"
 
 namespace pp::nn {
 namespace {
@@ -693,56 +692,6 @@ TEST(Gemm, Im2colRoundTripsThroughCol2im) {
   Tensor back = x.zeros_like();
   col2im_add(col.data(), 3, 4, 4, 1, 1, 1, 0, 4, 4, back.data());
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(back[i], x[i]);
-}
-
-// --- Workspace arena ---------------------------------------------------------
-
-TEST(Workspace, MarkReleaseReusesMemory) {
-  Workspace ws;
-  auto m0 = ws.mark();
-  float* a = ws.alloc(100);
-  ASSERT_NE(a, nullptr);
-  EXPECT_GE(ws.in_use(), 100u);
-  ws.release(m0);
-  EXPECT_EQ(ws.in_use(), 0u);
-  // Same block is handed out again — no new allocation for a same-size ask.
-  float* b = ws.alloc(100);
-  EXPECT_EQ(a, b);
-  ws.release(m0);
-}
-
-TEST(Workspace, ScopeRewindsAndCapacityPersists) {
-  Workspace ws;
-  {
-    WorkspaceScope scope(ws);
-    ws.alloc(1000);
-    ws.alloc(2000);
-    EXPECT_GE(ws.in_use(), 3000u);
-  }
-  EXPECT_EQ(ws.in_use(), 0u);
-  EXPECT_GE(ws.capacity(), 3000u);
-  EXPECT_GE(ws.high_water(), 3000u);
-  std::size_t cap = ws.capacity();
-  {
-    WorkspaceScope scope(ws);
-    ws.alloc(1000);
-    ws.alloc(2000);
-  }
-  EXPECT_EQ(ws.capacity(), cap);  // steady state: no regrowth
-}
-
-TEST(Workspace, NestedScopesAreStackDisciplined) {
-  Workspace ws;
-  WorkspaceScope outer(ws);
-  float* a = ws.alloc(64);
-  (void)a;
-  std::size_t used_outer = ws.in_use();
-  {
-    WorkspaceScope inner(ws);
-    ws.alloc(64);
-    EXPECT_GT(ws.in_use(), used_outer);
-  }
-  EXPECT_EQ(ws.in_use(), used_outer);
 }
 
 // --- Direct vs GEMM conv parity ---------------------------------------------

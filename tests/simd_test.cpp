@@ -4,8 +4,8 @@
 // bit-exactness guarantees within a fixed ISA (fused-vs-unfused epilogues,
 // chunk invariance), the quantized int8/bf16 kernel tier (bitwise across
 // ISAs — exact int32 accumulation / exact widening — and tolerance against
-// fp32), and the 64-byte alignment contract of Tensor storage and
-// Workspace arenas.
+// fp32), and the 64-byte alignment contract of Tensor storage and kernel
+// Scratch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +23,6 @@
 #include "nn/simd.hpp"
 #include "nn/simd_kernels.hpp"
 #include "nn/tensor.hpp"
-#include "nn/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace pp::nn {
@@ -828,14 +827,16 @@ TEST(Alignment, TensorStorageIs64ByteAligned) {
   EXPECT_TRUE(aligned64(fd.data()));
 }
 
-TEST(Alignment, WorkspaceAllocationsAre64ByteAligned) {
-  Workspace ws;
-  WorkspaceScope scope(ws);
-  // Odd sizes: each bump must still land on a 64-byte boundary.
+TEST(Alignment, ScratchIs64ByteAlignedAndNullWhenEmpty) {
+  // Odd sizes, several live at once: each must start on a 64-byte boundary.
+  std::vector<Scratch<float>> live;
   for (std::size_t n : {1u, 3u, 17u, 100u, 4097u}) {
-    float* p = ws.alloc(n);
-    EXPECT_TRUE(aligned64(p)) << "alloc(" << n << ")";
+    live.emplace_back(n);
+    EXPECT_TRUE(aligned64(live.back().get())) << "Scratch<float>(" << n << ")";
   }
+  Scratch<std::int16_t> i16(33);
+  EXPECT_TRUE(aligned64(i16.get()));
+  EXPECT_EQ(Scratch<float>(0).get(), nullptr);
 }
 
 }  // namespace
