@@ -23,15 +23,10 @@
 //   --max-conns N      concurrent-connection cap              (default 4096)
 //   --port-file PATH   write the bound TCP port (atomic), for port 0
 //   --stats PATH       write the serve stats dump (JSON) on exit, atomically
-//   --publish PATH     periodic live metrics snapshot (atomic tmp+rename
-//                      JSON: registry + rolling windows), refreshed every
-//                      --publish-ms
-//   --publish-ms N     publisher cadence (default PP_PUBLISH_MS or 1000)
-//   --request-log PATH wide-event NDJSON request log (default PP_REQLOG;
-//                      rotation at PP_REQLOG_ROTATE_BYTES)
+//   --request-log PATH wide-event NDJSON request log (rotates at 4 MiB)
 //
-// Live scraping without the file: send {"op":"metrics"} or {"op":"health"}
-// on any connection — both read without stopping the executors.
+// Live scraping: send {"op":"metrics"} or {"op":"health"} on any
+// connection — both read without stopping the executors.
 //
 // Models are registered at runtime with {"op":"load", ...} requests; see
 // src/serve/protocol.hpp for the full NDJSON schema. Pipe mode serves one
@@ -41,15 +36,12 @@
 // responses in pipe mode.
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_args.hpp"
@@ -77,8 +69,6 @@ struct Options {
   int tcp_port = -1;  ///< -1 = no TCP listener
   std::string port_file;
   std::string stats_path;
-  std::string publish_path;
-  int publish_ms = 0;  // set from PP_PUBLISH_MS or 1000 when publishing
   int backlog = 512;
   std::size_t max_conns = 4096;
   serve::ServerConfig server;
@@ -92,8 +82,7 @@ void usage() {
                "  ppaint_serve tcp <host:port> [options]\n"
                "Options: --max-queue N  --max-batch N  --shards N  --cache N\n"
                "         --tcp HOST:PORT  --backlog N  --max-conns N\n"
-               "         --port-file PATH  --stats PATH\n"
-               "         --publish PATH  --publish-ms N  --request-log PATH\n"
+               "         --port-file PATH  --stats PATH  --request-log PATH\n"
                "Requests are NDJSON (one JSON object per line); see "
                "src/serve/protocol.hpp.\n");
 }
@@ -175,15 +164,8 @@ bool parse_options(int argc, char** argv, Options* opt) {
       opt->port_file = next("--port-file");
     } else if (args[i] == "--stats") {
       opt->stats_path = next("--stats");
-    } else if (args[i] == "--publish") {
-      opt->publish_path = next("--publish");
-    } else if (args[i] == "--publish-ms") {
-      if (!parse_num(kProg, "--publish-ms", next("--publish-ms"), 1, 1 << 30,
-                     &n))
-        return false;
-      opt->publish_ms = static_cast<int>(n);
     } else if (args[i] == "--request-log") {
-      opt->server.request_log.path = next("--request-log");
+      opt->server.request_log = next("--request-log");
     } else {
       std::fprintf(stderr, "ppaint_serve: unknown option '%s'\n",
                    args[i].c_str());
@@ -193,17 +175,6 @@ bool parse_options(int argc, char** argv, Options* opt) {
   if (opt->mode != "pipe" && opt->socket_path.empty() && opt->tcp_port < 0) {
     std::fprintf(stderr, "ppaint_serve: no listener configured\n");
     return false;
-  }
-  // The publisher cadence: --publish-ms, else PP_PUBLISH_MS under the same
-  // bounds, else 1000.
-  if (!opt->publish_path.empty() && opt->publish_ms == 0) {
-    opt->publish_ms = 1000;
-    if (const char* env = std::getenv("PP_PUBLISH_MS")) {
-      long long n = 0;
-      if (!parse_num(kProg, "PP_PUBLISH_MS", env, 1, 1 << 30, &n))
-        return false;
-      opt->publish_ms = static_cast<int>(n);
-    }
   }
   return true;
 }
@@ -270,36 +241,8 @@ int main(int argc, char** argv) {
 
   auto registry = std::make_shared<serve::ModelRegistry>();
   serve::GenerationServer server(registry, opt.server);
-
-  // Snapshot publisher: a sidecar thread refreshing an atomic (tmp+rename)
-  // JSON file with the live registry + rolling windows, so dashboards can
-  // scrape without holding a connection.
-  std::atomic<bool> publish_stop{false};
-  std::thread publisher;
-  if (!opt.publish_path.empty()) {
-    const int interval_ms = opt.publish_ms;
-    publisher = std::thread([&server, &publish_stop, interval_ms,
-                             path = opt.publish_path] {
-      do {
-        pp::obs::write_text_atomic(path,
-                                   server.metrics_json().dump(2) + "\n");
-        for (int waited = 0; waited < interval_ms && !publish_stop.load();
-             waited += 20)
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      } while (!publish_stop.load());
-      // One last snapshot so the file reflects the final state on exit.
-      pp::obs::write_text_atomic(path, server.metrics_json().dump(2) + "\n");
-    });
-    std::fprintf(stderr, "ppaint_serve: publishing metrics -> %s every %dms\n",
-                 opt.publish_path.c_str(), interval_ms);
-  }
-
-  int rc = opt.mode == "pipe" ? run_pipe(server, *registry)
-                              : run_net(opt, server, *registry);
-  if (publisher.joinable()) {
-    publish_stop.store(true);
-    publisher.join();
-  }
+  const int rc = opt.mode == "pipe" ? run_pipe(server, *registry)
+                                    : run_net(opt, server, *registry);
   if (!opt.stats_path.empty() && server.write_stats(opt.stats_path))
     std::fprintf(stderr, "ppaint_serve: stats -> %s\n", opt.stats_path.c_str());
   return rc;

@@ -14,28 +14,6 @@
 
 namespace pp {
 
-obs::Json GenerationRecord::to_json() const {
-  obs::Json o = obs::Json::object();
-  o.set("legal", obs::Json(legal));
-  o.set("wall_ms", obs::Json(wall_ms));
-  o.set("raw_density", obs::Json(raw.density()));
-  o.set("denoised_density", obs::Json(denoised.density()));
-  return o;
-}
-
-obs::Json IterationStats::to_json() const {
-  obs::Json o = obs::Json::object();
-  o.set("iteration", obs::Json(iteration));
-  o.set("generated_total", obs::Json(generated_total));
-  o.set("legal_total", obs::Json(legal_total));
-  o.set("unique_total", obs::Json(unique_total));
-  o.set("h1", obs::Json(h1));
-  o.set("h2", obs::Json(h2));
-  o.set("wall_seconds", obs::Json(wall_seconds));
-  o.set("drc_pass_rate", obs::Json(drc_pass_rate));
-  return o;
-}
-
 PatternPaint::PatternPaint(PatternPaintConfig cfg, RuleSet rules,
                            std::uint64_t seed)
     : cfg_(cfg),

@@ -26,7 +26,6 @@
 #include "core/config.hpp"
 #include "core/library.hpp"
 #include "drc/checker.hpp"
-#include "obs/json.hpp"
 #include "select/masks.hpp"
 
 namespace pp {
@@ -39,9 +38,6 @@ struct GenerationRecord {
   Raster tmpl;       ///< the pre-inpainting template pattern
   bool legal = false;  ///< DRC verdict on `denoised`
   double wall_ms = 0.0;  ///< denoise + DRC time for this sample
-
-  /// {legal, wall_ms, raw_density, denoised_density}.
-  obs::Json to_json() const;
 };
 
 /// Per-iteration library trajectory (Fig. 7 series).
@@ -54,9 +50,6 @@ struct IterationStats {
   double h2 = 0.0;
   double wall_seconds = 0.0;   ///< wall time of this round (0 for cached)
   double drc_pass_rate = 0.0;  ///< cumulative legal_total / generated_total
-
-  /// One trajectory point as a JSON object.
-  obs::Json to_json() const;
 };
 
 class PatternPaint {

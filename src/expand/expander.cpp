@@ -88,17 +88,6 @@ std::vector<WindowWork> WavefrontExpander::acquire(int max_windows) {
   return out;
 }
 
-void WavefrontExpander::commit(const WindowWork& work, const Raster& raw) {
-  Raster finished = raw;
-  if (cfg_.denoise_windows) {
-    finished = painter_
-                   .finish_samples({raw}, {work.known}, {work.finish_base})
-                   .front()
-                   .denoised;
-  }
-  commit_finished(work, finished);
-}
-
 void WavefrontExpander::commit_batch(const std::vector<WindowWork>& works,
                                      const std::vector<Raster>& raws) {
   PP_REQUIRE(works.size() == raws.size());

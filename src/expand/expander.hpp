@@ -3,12 +3,13 @@
 //
 // The engine is schedule-agnostic on purpose: acquire() hands out the
 // current wave's independent windows (each with its pre-inpaint template,
-// uncommitted-pixel mask and RNG stream bases) and commit() folds one
-// generated window back in. Two drivers share it bitwise-identically:
+// uncommitted-pixel mask and RNG stream bases) and commit_batch() folds
+// generated windows back in. Two drivers share it bitwise-identically:
 //   * expand_layout() — the in-process loop (examples, CLI, bench):
-//     acquires a batch, runs one Ddpm::inpaint call, commits.
+//     acquires a batch, runs one Ddpm::inpaint call, commits the batch.
 //   * the serve executor — wave windows join the continuous-batching
-//     InpaintState at step boundaries and commit as they finish.
+//     InpaintState at step boundaries and commit one by one as they
+//     finish.
 //
 // Determinism contract: window w's generation base and finish base are
 //   Rng s = Rng::stream(request_seed, w.index);
@@ -103,14 +104,11 @@ class WavefrontExpander {
   /// remaining window of the wave is in flight — commit them to advance.
   std::vector<WindowWork> acquire(int max_windows = 0);
 
-  /// Folds one generated window back in: template-denoise against
-  /// work.known (when configured), commit exactly the masked pixels, DRC
-  /// the committed window crop, update stats, and — when the wave drains —
-  /// advance the wavefront.
-  void commit(const WindowWork& work, const Raster& raw);
-
-  /// Batch variant: one finish_samples call over the works (bitwise
-  /// identical per sample to singleton commits), then commits in order.
+  /// Folds generated windows back in: one finish_samples call
+  /// template-denoises every raw against its work.known (when configured;
+  /// bitwise identical per sample at any batch size), then, in order, each
+  /// window commits exactly its masked pixels, DRCs its committed crop and
+  /// updates the stats, and a drained wave advances the wavefront.
   void commit_batch(const std::vector<WindowWork>& works,
                     const std::vector<Raster>& raws);
 

@@ -1,6 +1,5 @@
 // Integer environment knobs: one strict parser for every bounded PP_*
-// number (PP_THREADS, PP_TRACE_BUF, PP_REQLOG_ROTATE_BYTES,
-// PP_ROLL_WINDOW_S).
+// number (PP_THREADS, PP_TRACE_BUF).
 //
 // A value must be a whole decimal number inside the knob's bounds: no sign,
 // no fraction, no exponent, no unit suffix, no surrounding space. A

@@ -91,7 +91,7 @@ class Json {
 };
 
 /// Tmp+rename file write shared by every observability artifact (the chrome
-/// trace, serve stats dumps and published snapshots): writes `<path>.tmp`,
+/// trace, serve stats dumps and the serve port file): writes `<path>.tmp`,
 /// then renames it into place, so a killed process never leaves a
 /// truncated file. fsync-free. Returns false on failure, leaving any
 /// previous file at `path` untouched.

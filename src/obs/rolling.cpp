@@ -2,38 +2,24 @@
 
 #include <algorithm>
 
-#include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace pp::obs {
 
-RollingConfig RollingConfig::from_env() {
-  constexpr std::uint64_t kNsPerS = 1'000'000'000ull;
-  RollingConfig cfg;
-  cfg.long_window_ns =
-      env_bounded("PP_ROLL_WINDOW_S", kMinRollWindowS, kMaxRollWindowS,
-                  cfg.long_window_ns / kNsPerS) *
-      kNsPerS;
-  cfg.short_window_ns = std::min(cfg.short_window_ns, cfg.long_window_ns);
-  return cfg;
-}
-
 namespace {
 
-std::size_t ring_capacity(const RollingConfig& cfg) {
-  // One slot per sub-window in the long window, plus slack so the window's
-  // start boundary is still resident when queried right after a rollover.
-  return static_cast<std::size_t>(cfg.long_window_ns / cfg.sub_ns) + 2;
-}
+// One slot per sub-window in the long window, plus slack so the window's
+// start boundary is still resident when queried right after a rollover.
+constexpr std::size_t kRingCapacity = kLongWindowNs / kSubWindowNs + 2;
 
 /// Stamps every boundary crossed since the last look with the value
 /// captured AT that last look (gap events attribute to the newest
 /// sub-window), then refreshes `last_seen` from the live metric.
 template <typename Snap, typename TakeLive>
-void advance_ring(detail_rolling::Ring<Snap>& r, std::uint64_t sub_ns,
-                  std::uint64_t now_ns, TakeLive take) {
-  std::int64_t b = static_cast<std::int64_t>(now_ns / sub_ns);
+void advance_ring(detail_rolling::Ring<Snap>& r, std::uint64_t now_ns,
+                  TakeLive take) {
+  std::int64_t b = static_cast<std::int64_t>(now_ns / kSubWindowNs);
   if (b > r.last_b) {
     std::size_t cap = r.slots.size();
     // Under a long reader gap only the newest `cap` boundaries can still be
@@ -53,44 +39,42 @@ void advance_ring(detail_rolling::Ring<Snap>& r, std::uint64_t sub_ns,
 /// and returns {boundary, start_time_ns}.
 template <typename Snap>
 std::pair<std::int64_t, std::uint64_t> window_base(
-    const detail_rolling::Ring<Snap>& r, std::uint64_t sub_ns,
-    std::uint64_t window_ns, std::uint64_t now_ns) {
-  std::int64_t b = static_cast<std::int64_t>(now_ns / sub_ns);
-  std::int64_t s = b - static_cast<std::int64_t>(window_ns / sub_ns);
+    const detail_rolling::Ring<Snap>& r, std::uint64_t window_ns,
+    std::uint64_t now_ns) {
+  std::int64_t b = static_cast<std::int64_t>(now_ns / kSubWindowNs);
+  std::int64_t s = b - static_cast<std::int64_t>(window_ns / kSubWindowNs);
   std::int64_t oldest = std::max(
       r.first_b, r.last_b - static_cast<std::int64_t>(r.slots.size()) + 1);
   s = std::clamp(s, oldest, r.last_b);
   std::uint64_t start_ns =
-      s == r.first_b ? r.t0_ns : static_cast<std::uint64_t>(s) * sub_ns;
+      s == r.first_b ? r.t0_ns : static_cast<std::uint64_t>(s) * kSubWindowNs;
   return {s, std::min(start_ns, now_ns)};
 }
 
 }  // namespace
 
-RollingCounter::RollingCounter(const Counter& live, const RollingConfig& cfg,
-                               std::uint64_t now_ns)
-    : live_(live), cfg_(cfg) {
-  std::size_t cap = ring_capacity(cfg_);
-  ring_.slots.assign(cap, 0);
-  ring_.slot_boundary.assign(cap, -1);
+RollingCounter::RollingCounter(const Counter& live, std::uint64_t now_ns)
+    : live_(live) {
+  ring_.slots.assign(kRingCapacity, 0);
+  ring_.slot_boundary.assign(kRingCapacity, -1);
   ring_.t0_ns = now_ns;
   ring_.first_b = ring_.last_b =
-      static_cast<std::int64_t>(now_ns / cfg_.sub_ns);
+      static_cast<std::int64_t>(now_ns / kSubWindowNs);
   ring_.last_seen = live_.value();
-  std::size_t idx = static_cast<std::size_t>(ring_.first_b) % cap;
+  std::size_t idx = static_cast<std::size_t>(ring_.first_b) % kRingCapacity;
   ring_.slots[idx] = ring_.last_seen;
   ring_.slot_boundary[idx] = ring_.first_b;
 }
 
 void RollingCounter::advance_locked(std::uint64_t now_ns) const {
-  advance_ring(ring_, cfg_.sub_ns, now_ns, [&] { return live_.value(); });
+  advance_ring(ring_, now_ns, [&] { return live_.value(); });
 }
 
 WindowStats RollingCounter::window(std::uint64_t window_ns,
                                    std::uint64_t now_ns) const {
   std::lock_guard<std::mutex> lk(m_);
   advance_locked(now_ns);
-  auto [s, start_ns] = window_base(ring_, cfg_.sub_ns, window_ns, now_ns);
+  auto [s, start_ns] = window_base(ring_, window_ns, now_ns);
   std::uint64_t base = ring_.slots[static_cast<std::size_t>(s) %
                                    ring_.slots.size()];
   std::uint64_t cur = ring_.last_seen;  // refreshed by advance_locked
@@ -102,24 +86,21 @@ WindowStats RollingCounter::window(std::uint64_t window_ns,
   return w;
 }
 
-RollingHistogram::RollingHistogram(const Histogram& live,
-                                   const RollingConfig& cfg,
-                                   std::uint64_t now_ns)
-    : live_(live), cfg_(cfg) {
-  std::size_t cap = ring_capacity(cfg_);
-  ring_.slots.assign(cap, Snap{});
-  ring_.slot_boundary.assign(cap, -1);
+RollingHistogram::RollingHistogram(const Histogram& live, std::uint64_t now_ns)
+    : live_(live) {
+  ring_.slots.assign(kRingCapacity, Snap{});
+  ring_.slot_boundary.assign(kRingCapacity, -1);
   ring_.t0_ns = now_ns;
   ring_.first_b = ring_.last_b =
-      static_cast<std::int64_t>(now_ns / cfg_.sub_ns);
+      static_cast<std::int64_t>(now_ns / kSubWindowNs);
   advance_locked(now_ns);  // seeds last_seen from the live metric
-  std::size_t idx = static_cast<std::size_t>(ring_.first_b) % cap;
+  std::size_t idx = static_cast<std::size_t>(ring_.first_b) % kRingCapacity;
   ring_.slots[idx] = ring_.last_seen;
   ring_.slot_boundary[idx] = ring_.first_b;
 }
 
 void RollingHistogram::advance_locked(std::uint64_t now_ns) const {
-  advance_ring(ring_, cfg_.sub_ns, now_ns, [&] {
+  advance_ring(ring_, now_ns, [&] {
     Snap s;
     for (int i = 0; i < Histogram::kBuckets; ++i)
       s.buckets[i] = live_.bucket_count(i);
@@ -133,7 +114,7 @@ WindowStats RollingHistogram::window(std::uint64_t window_ns,
                                      std::uint64_t now_ns) const {
   std::lock_guard<std::mutex> lk(m_);
   advance_locked(now_ns);
-  auto [s, start_ns] = window_base(ring_, cfg_.sub_ns, window_ns, now_ns);
+  auto [s, start_ns] = window_base(ring_, window_ns, now_ns);
   const Snap& base =
       ring_.slots[static_cast<std::size_t>(s) % ring_.slots.size()];
   const Snap& cur = ring_.last_seen;
@@ -154,26 +135,24 @@ WindowStats RollingHistogram::window(std::uint64_t window_ns,
   return w;
 }
 
-RollingCollector::RollingCollector(RollingConfig cfg) : cfg_(cfg) {}
-
-void RollingCollector::track_counter(const std::string& name) {
+void RollingCollector::track_counter(const std::string& name,
+                                     const Counter& live) {
   std::lock_guard<std::mutex> lk(m_);
   for (auto& kv : counters_)
     if (kv.first == name) return;
-  auto view = std::make_unique<RollingCounter>(metrics().counter(name), cfg_,
-                                               detail::now_ns());
+  auto view = std::make_unique<RollingCounter>(live, detail::now_ns());
   auto pos = std::lower_bound(
       counters_.begin(), counters_.end(), name,
       [](const auto& kv, const std::string& n) { return kv.first < n; });
   counters_.emplace(pos, name, std::move(view));
 }
 
-void RollingCollector::track_histogram(const std::string& name) {
+void RollingCollector::track_histogram(const std::string& name,
+                                       const Histogram& live) {
   std::lock_guard<std::mutex> lk(m_);
   for (auto& kv : hists_)
     if (kv.first == name) return;
-  auto view = std::make_unique<RollingHistogram>(metrics().histogram(name),
-                                                 cfg_, detail::now_ns());
+  auto view = std::make_unique<RollingHistogram>(live, detail::now_ns());
   auto pos = std::lower_bound(
       hists_.begin(), hists_.end(), name,
       [](const auto& kv, const std::string& n) { return kv.first < n; });
@@ -192,18 +171,6 @@ WindowStats RollingCollector::counter_window(const std::string& name,
   return view ? view->window(window_ns, now_ns) : WindowStats{};
 }
 
-WindowStats RollingCollector::histogram_window(const std::string& name,
-                                               std::uint64_t window_ns,
-                                               std::uint64_t now_ns) const {
-  const RollingHistogram* view = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    for (const auto& kv : hists_)
-      if (kv.first == name) view = kv.second.get();
-  }
-  return view ? view->window(window_ns, now_ns) : WindowStats{};
-}
-
 Json RollingCollector::snapshot_json(std::uint64_t now_ns) const {
   // Copy the view pointers out so rendering doesn't hold the map mutex
   // (views have their own locks).
@@ -215,12 +182,11 @@ Json RollingCollector::snapshot_json(std::uint64_t now_ns) const {
     for (const auto& kv : hists_) hists.emplace_back(kv.first, kv.second.get());
   }
   Json out = Json::object();
-  out.set("sub_window_s", Json(static_cast<double>(cfg_.sub_ns) / 1e9));
+  out.set("sub_window_s", Json(static_cast<double>(kSubWindowNs) / 1e9));
   const struct {
     const char* key;
     std::uint64_t ns;
-  } kWindows[] = {{"short", cfg_.short_window_ns},
-                  {"long", cfg_.long_window_ns}};
+  } kWindows[] = {{"short", kShortWindowNs}, {"long", kLongWindowNs}};
   for (const auto& win : kWindows) {
     Json wobj = Json::object();
     wobj.set("window_s", Json(static_cast<double>(win.ns) / 1e9));

@@ -4,22 +4,22 @@
 // start"; a long-lived server needs "over the last ~10s/60s". This layer
 // adds that WITHOUT touching writers: a RollingCounter/RollingHistogram
 // holds a reference to the live metric plus a ring of cumulative snapshots
-// taken lazily at fixed sub-window boundaries (default 1 s). Windowed
-// stats are simply (live now) - (snapshot at now - window), so the hot
-// path stays exactly what it was — one relaxed atomic add per event.
+// taken lazily at fixed 1 s sub-window boundaries. Windowed stats are
+// simply (live now) - (snapshot at now - window), so the hot path stays
+// exactly what it was — one relaxed atomic add per event.
 //
 // Snapshotting is reader-driven: advance() runs under a reader-side mutex
-// on every query (and from any periodic publisher thread). If no reader
-// looks for a while, missed boundaries are stamped with the value captured
-// at the previous look, which attributes the gap's events to the newest
-// sub-window — events age *slower* under reader gaps, never faster, so a
-// late scrape still sees them. Window edges are quantized to one
-// sub-window; percentiles inherit the one-bucket-ratio (~1.5x) accuracy of
-// the underlying log-bucketed histogram.
+// on every query. If no reader looks for a while, missed boundaries are
+// stamped with the value captured at the previous look, which attributes
+// the gap's events to the newest sub-window — events age *slower* under
+// reader gaps, never faster, so a late scrape still sees them. Window
+// edges are quantized to one sub-window; percentiles inherit the
+// one-bucket-ratio (~1.5x) accuracy of the underlying log-bucketed
+// histogram.
 //
-// RollingCollector bundles the rolling views a server cares about and
-// renders a JSON snapshot with both a short (~10 s) and a long
-// (PP_ROLL_WINDOW_S, default 60 s) window.
+// RollingCollector bundles the rolling views over the metrics one server
+// owns and renders a JSON snapshot with both a short (10 s) and a long
+// (60 s) window.
 #pragma once
 
 #include <cstdint>
@@ -47,20 +47,10 @@ struct WindowStats {
   double window_s = 0.0;
 };
 
-/// Bounds of PP_ROLL_WINDOW_S, in whole seconds.
-inline constexpr std::uint64_t kMinRollWindowS = 2;
-inline constexpr std::uint64_t kMaxRollWindowS = 3600;
-
-/// Window sizing shared by every rolling view. `long_window_ns` honors
-/// PP_ROLL_WINDOW_S (obs::env_bounded; a malformed value keeps 60 s) when
-/// built via from_env().
-struct RollingConfig {
-  std::uint64_t sub_ns = 1'000'000'000ull;         // sub-window: 1 s
-  std::uint64_t short_window_ns = 10'000'000'000ull;   // ~10 s
-  std::uint64_t long_window_ns = 60'000'000'000ull;    // ~60 s
-
-  static RollingConfig from_env();
-};
+/// Window sizing shared by every rolling view.
+inline constexpr std::uint64_t kSubWindowNs = 1'000'000'000ull;     // 1 s
+inline constexpr std::uint64_t kShortWindowNs = 10'000'000'000ull;  // 10 s
+inline constexpr std::uint64_t kLongWindowNs = 60'000'000'000ull;   // 60 s
 
 namespace detail_rolling {
 
@@ -82,8 +72,7 @@ struct Ring {
 /// called concurrently with writers.
 class RollingCounter {
  public:
-  RollingCounter(const Counter& live, const RollingConfig& cfg,
-                 std::uint64_t now_ns);
+  RollingCounter(const Counter& live, std::uint64_t now_ns);
 
   /// Events and rate over the trailing `window_ns` (quantized to one
   /// sub-window; clipped to the metric's observed life).
@@ -91,7 +80,6 @@ class RollingCounter {
 
  private:
   const Counter& live_;
-  RollingConfig cfg_;
   mutable std::mutex m_;
   mutable detail_rolling::Ring<std::uint64_t> ring_;
 
@@ -108,39 +96,31 @@ class RollingHistogram {
     double sum = 0.0;
   };
 
-  RollingHistogram(const Histogram& live, const RollingConfig& cfg,
-                   std::uint64_t now_ns);
+  RollingHistogram(const Histogram& live, std::uint64_t now_ns);
 
   WindowStats window(std::uint64_t window_ns, std::uint64_t now_ns) const;
 
  private:
   const Histogram& live_;
-  RollingConfig cfg_;
   mutable std::mutex m_;
   mutable detail_rolling::Ring<Snap> ring_;
 
   void advance_locked(std::uint64_t now_ns) const;
 };
 
-/// A named bundle of rolling views (typically one per server instance, so
-/// each instance's windows baseline at its own construction even though the
-/// underlying metrics registry is process-global).
+/// A named bundle of rolling views over metrics its owner holds (one per
+/// server instance, over that server's own counts), so each view sees one
+/// owner's events and baselines at its own construction.
 class RollingCollector {
  public:
-  explicit RollingCollector(RollingConfig cfg = RollingConfig::from_env());
+  /// Tracks `live` (which must outlive the collector) under `name`. A
+  /// name already tracked keeps its first view.
+  void track_counter(const std::string& name, const Counter& live);
+  void track_histogram(const std::string& name, const Histogram& live);
 
-  /// Registers the registry metric `name` for rolling tracking. Idempotent.
-  void track_counter(const std::string& name);
-  void track_histogram(const std::string& name);
-
-  /// Stats for one tracked metric; zeroed WindowStats when untracked.
+  /// Stats for one tracked counter; zeroed WindowStats when untracked.
   WindowStats counter_window(const std::string& name, std::uint64_t window_ns,
                              std::uint64_t now_ns) const;
-  WindowStats histogram_window(const std::string& name,
-                               std::uint64_t window_ns,
-                               std::uint64_t now_ns) const;
-
-  const RollingConfig& config() const { return cfg_; }
 
   /// {"window_s": {"short": s, "long": s}, "short": {counters: {name:
   /// {count,rate_per_s}}, histograms: {name: {count,rate_per_s,mean,p50,
@@ -148,7 +128,6 @@ class RollingCollector {
   Json snapshot_json(std::uint64_t now_ns) const;
 
  private:
-  RollingConfig cfg_;
   mutable std::mutex m_;  // guards the maps, not the per-view state
   std::vector<std::pair<std::string, std::unique_ptr<RollingCounter>>>
       counters_;

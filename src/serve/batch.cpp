@@ -155,7 +155,7 @@ void ContinuousBatch::step() {
       continue;
     }
     try {
-      m.ex->commit(row.mapped(), raw);
+      m.ex->commit_batch({row.mapped()}, {raw});
     } catch (const std::exception& e) {
       m.error = e.what();
     }

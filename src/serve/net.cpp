@@ -99,6 +99,10 @@ class ConnSink final : public ResponseSink,
 
 namespace {
 
+/// A connection whose buffered input passes this length without a newline
+/// is dropped as a read error.
+constexpr std::size_t kMaxLineBytes = 4u << 20;
+
 struct NetMetrics {
   obs::Gauge& connections = obs::metrics().gauge("serve.net.connections");
   obs::Counter& accepted = obs::metrics().counter("serve.net.accepted_conns");
@@ -408,7 +412,7 @@ void NetServer::read_ready(int fd) {
     close_conn(fd);
     return;
   }
-  if (c.inbuf.size() > cfg_.max_line_bytes &&
+  if (c.inbuf.size() > kMaxLineBytes &&
       c.inbuf.find('\n') == std::string::npos) {
     nm.read_errors.add(1);
     close_conn(fd);

@@ -49,7 +49,6 @@ struct NetServerConfig {
   int backlog = 512;                     ///< listen(2) backlog (bursts)
   std::size_t max_connections = 4096;    ///< concurrent-connection cap
   std::size_t max_outbuf_bytes = 8u << 20;  ///< slow-consumer bound
-  std::size_t max_line_bytes = 4u << 20;    ///< request-line length bound
 };
 
 struct NetRunResult {

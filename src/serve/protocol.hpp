@@ -41,14 +41,18 @@
 // parses when it is absent or "fp32", and any other value is a
 // "bad_request".
 //   cancel   {"id", "op":"cancel", "target":<id>}
-//   ping / stats / shutdown {"id", "op":...}
+//   ping / shutdown {"id", "op":...}
+//   stats    {"id", "op":"stats"} -> {"stats": {this server's lifetime
+//            counts, shard and cache state, "models"}} (no windows: those
+//            are in "metrics")
 //   metrics  {"id", "op":"metrics"} -> {"metrics": {"snapshot", "uptime_ms",
 //            "metrics" (full registry), "trace", "rolling" (windowed SLO
-//            stats: short/long windows of rate + p50/p95/p99)}}
+//            stats over this server's own traffic: short/long windows of
+//            rate + p50/p95/p99)}}
 //   health   {"id", "op":"health"} -> {"health": {"status":
 //            "ok|overloaded|draining", "accepting", "overloaded",
-//            "queue_depth", "max_queue", "error_rate" (rolling short
-//            window, with hysteresis on the overload latch),
+//            "queue_depth", "max_queue", "error_rate" (this server's
+//            rolling short window, with hysteresis on the overload latch),
 //            "requests_per_s", "window_s", "trace_dropped_spans"}}
 //
 // Rasters travel as the '.'/'#' ASCII art of Raster::to_ascii (rows joined

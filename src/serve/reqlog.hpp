@@ -7,15 +7,12 @@
 //
 // Lines append under a mutex (the writer is the executor / submit path,
 // whose per-request cost already dwarfs one formatted write) to a
-// size-rotated file: when the active file would exceed `rotate_bytes` the
+// size-rotated file: when the active file would exceed kRotateBytes the
 // log renames it to `<path>.1` (replacing any previous rotation) and
-// starts fresh, bounding disk use at ~2x rotate_bytes.
+// starts fresh, bounding disk use at ~2x kRotateBytes.
 //
-// Configure with ServerConfig::request_log or the environment:
-//   PP_REQLOG              path ("" = disabled)
-//   PP_REQLOG_ROTATE_BYTES rotation threshold, a whole number of bytes in
-//                          [kMinRotateBytes, kMaxRotateBytes] (default
-//                          4 MiB; anything else warns and keeps it)
+// The path comes from ServerConfig::request_log (ppaint_serve
+// --request-log); empty disables the log.
 #pragma once
 
 #include <cstdint>
@@ -29,25 +26,17 @@ class Json;
 
 namespace pp::serve {
 
-/// Bounds of PP_REQLOG_ROTATE_BYTES: 4 KiB to 1 TiB.
-inline constexpr std::uint64_t kMinRotateBytes = 4096;
-inline constexpr std::uint64_t kMaxRotateBytes = 1ull << 40;
-
-struct RequestLogConfig {
-  std::string path;  ///< empty = logging disabled
-  std::uint64_t rotate_bytes = 4ull << 20;
-
-  /// PP_REQLOG / PP_REQLOG_ROTATE_BYTES.
-  static RequestLogConfig from_env();
-};
+/// Size at which the active file rotates to `<path>.1`.
+inline constexpr std::uint64_t kRotateBytes = 4ull << 20;
 
 class RequestLog {
  public:
   RequestLog() = default;
-  explicit RequestLog(RequestLogConfig cfg);
+  /// An empty path disables logging.
+  explicit RequestLog(std::string path);
 
-  bool enabled() const { return !cfg_.path.empty(); }
-  const std::string& path() const { return cfg_.path; }
+  bool enabled() const { return !path_.empty(); }
+  const std::string& path() const { return path_; }
 
   /// Appends one compact JSON line. Thread-safe; silently drops on I/O
   /// failure (telemetry must never take the serve path down).
@@ -60,7 +49,7 @@ class RequestLog {
   void open_locked();
   void rotate_locked();
 
-  RequestLogConfig cfg_;
+  std::string path_;
   mutable std::mutex m_;
   std::ofstream out_;
   std::uint64_t bytes_ = 0;

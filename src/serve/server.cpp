@@ -19,15 +19,16 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-// Registry-only serve metrics. The counts stats_json also reports are
-// GenerationServer::Stat members.
+// Process-wide serve counters, summed over every server in the process
+// (benchmark/ reads them over a traced window). Each server's own counts
+// are GenerationServer members.
 struct ServeMetrics {
   // Generation cache: hits served inline at admission (bitwise identical
   // to cold execution), misses counted only when a cache is configured.
   obs::Counter& cache_hits = obs::metrics().counter("serve.cache.hits");
   obs::Counter& cache_misses = obs::metrics().counter("serve.cache.misses");
-  obs::Histogram& wait_ms = obs::metrics().histogram("serve.wait_ms");
-  obs::Histogram& e2e_ms = obs::metrics().histogram("serve.e2e_ms");
+  obs::Counter& joins = obs::metrics().counter("serve.joins");
+  obs::Counter& repacks = obs::metrics().counter("serve.repacks");
 };
 
 ServeMetrics& serve_metrics() {
@@ -102,20 +103,11 @@ obs::Json request_event(const GenRequest& req, ErrorCode code,
 
 }  // namespace
 
-GenerationServer::Stat::Stat(const char* name)
-    : registry_(name ? &obs::metrics().counter(name) : nullptr) {}
-
-void GenerationServer::Stat::add(std::uint64_t n) {
-  n_.fetch_add(n);
-  if (registry_) registry_->add(n);
-}
-
 GenerationServer::GenerationServer(std::shared_ptr<ModelRegistry> registry,
                                    ServerConfig cfg)
     : registry_(std::move(registry)),
       cfg_(std::move(cfg)),
       cache_(cfg_.cache_entries),
-      rolling_(obs::RollingConfig::from_env()),
       reqlog_(cfg_.request_log) {
   PP_REQUIRE(registry_ != nullptr);
   PP_REQUIRE(cfg_.max_queue >= 1);
@@ -124,15 +116,13 @@ GenerationServer::GenerationServer(std::shared_ptr<ModelRegistry> registry,
   shards_.reserve(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i)
     shards_.push_back(std::make_unique<Shard>());
-  // The serve.* metrics are process-global; tracking them here baselines
-  // this instance's rolling windows at its own construction.
-  rolling_.track_counter("serve.accepted");
-  rolling_.track_counter("serve.rejected");
-  rolling_.track_counter("serve.completed");
-  rolling_.track_counter("serve.timeouts");
-  rolling_.track_counter("serve.cancelled");
-  rolling_.track_histogram("serve.e2e_ms");
-  rolling_.track_histogram("serve.wait_ms");
+  rolling_.track_counter("serve.accepted", accepted_);
+  rolling_.track_counter("serve.rejected", rejected_);
+  rolling_.track_counter("serve.completed", completed_);
+  rolling_.track_counter("serve.timeouts", timeouts_);
+  rolling_.track_counter("serve.cancelled", cancelled_);
+  rolling_.track_histogram("serve.e2e_ms", e2e_ms_);
+  rolling_.track_histogram("serve.wait_ms", wait_ms_);
 }
 
 GenerationServer::~GenerationServer() {
@@ -221,7 +211,7 @@ void GenerationServer::finish_response(const PendingPtr& p, GenResponse resp) {
       break;
     case ErrorCode::kNone:
       completed_.add();
-      serve_metrics().e2e_ms.observe(resp.e2e_ms);
+      e2e_ms_.observe(resp.e2e_ms);
       break;
     default:
       break;
@@ -349,7 +339,7 @@ void GenerationServer::submit(GenRequest req,
       accepted_.add();
       completed_.add();
       m.cache_hits.add(1);
-      m.e2e_ms.observe(hit.e2e_ms);
+      e2e_ms_.observe(hit.e2e_ms);
       if (reqlog_.enabled())
         reqlog_.write(request_event(req, ErrorCode::kNone, 0.0, 0.0,
                                     hit.e2e_ms, 0, 0, false, true,
@@ -444,6 +434,8 @@ void GenerationServer::count(Shard& sh, const BatchCounts& c) {
   joins_.add(c.joins);
   leaves_.add(c.leaves);
   repacks_.add(c.repacks);
+  serve_metrics().joins.add(c.joins);
+  serve_metrics().repacks.add(c.repacks);
   sh.served.fetch_add(c.finished);
 }
 
@@ -542,7 +534,7 @@ void GenerationServer::worker_loop(Shard& sh) {
     const Clock::time_point now = Clock::now();
     for (const PendingPtr& p : joined) {
       p->wait_ms = ms_between(p->enqueue, now);
-      serve_metrics().wait_ms.observe(p->wait_ms);
+      wait_ms_.observe(p->wait_ms);
       p->exec_start = now;
       p->started = true;
       batch.admit(p);
@@ -588,7 +580,6 @@ obs::Json GenerationServer::stats_json() const {
   o.set("cache", std::move(c));
   o.set("trace_dropped_spans", obs::Json(obs::trace_dropped()));
   o.set("request_log_lines", obs::Json(reqlog_.lines_written()));
-  o.set("rolling", rolling_.snapshot_json(obs::trace_now_ns()));
   o.set("models", registry_->to_json());
   return o;
 }
@@ -605,7 +596,7 @@ obs::Json GenerationServer::metrics_json() const {
 
 obs::Json GenerationServer::health_json() const {
   const std::uint64_t now = obs::trace_now_ns();
-  const std::uint64_t win = rolling_.config().short_window_ns;
+  const std::uint64_t win = obs::kShortWindowNs;
   const obs::WindowStats acc =
       rolling_.counter_window("serve.accepted", win, now);
   const obs::WindowStats rej =

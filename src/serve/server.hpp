@@ -51,16 +51,13 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/rolling.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/reqlog.hpp"
-
-namespace pp::obs {
-class Counter;
-}
 
 namespace pp::serve {
 
@@ -76,10 +73,9 @@ struct ServerConfig {
   /// Generation-cache capacity in responses; 0 disables the cache. Hits
   /// are served at admission, bitwise identical to cold execution.
   std::size_t cache_entries = 0;
-  /// Wide-event request log (one NDJSON line per finished/rejected
-  /// request). Defaults honor PP_REQLOG / PP_REQLOG_ROTATE_BYTES; an empty
-  /// path disables logging.
-  RequestLogConfig request_log = RequestLogConfig::from_env();
+  /// Wide-event request log path (one NDJSON line per finished/rejected
+  /// request); empty disables logging.
+  std::string request_log;
 };
 
 class GenerationServer {
@@ -128,28 +124,27 @@ class GenerationServer {
   std::size_t shard_depth(std::size_t shard) const;
   const GenerationCache& cache() const { return cache_; }
 
-  /// Lifetime serve statistics: queue/admission counters, latency
-  /// histograms, shard + cache state, rolling-window stats and the model
-  /// registry ("serve stats dump").
+  /// Lifetime serve statistics: queue/admission counters, shard + cache
+  /// state and the model registry ("serve stats dump").
   obs::Json stats_json() const;
 
   /// stats_json() to disk via the atomic tmp+rename discipline.
   bool write_stats(const std::string& path) const;
 
   /// Live scrape payload for the `metrics` wire op: the registry snapshot
-  /// (expo.hpp) plus this server's rolling windows. Reads without stopping
-  /// writers.
+  /// (expo.hpp) plus the rolling windows over this server's own counts and
+  /// latencies. Reads without stopping writers.
   obs::Json metrics_json() const;
 
   /// Health verdict for the `health` wire op: "ok" / "overloaded" /
-  /// "draining", rolling error rate, queue depth and trace loss. The
-  /// overload flag has hysteresis — it trips at queue >= 80% of max_queue
-  /// or a short-window error rate >= 0.5, and only clears below 50% /
-  /// 0.25 — so a scraper polling at any cadence sees a stable signal, not
-  /// a strobe.
+  /// "draining", this server's rolling error rate, queue depth and trace
+  /// loss. The overload flag has hysteresis — it trips at queue >= 80% of
+  /// max_queue or a short-window error rate >= 0.5, and only clears below
+  /// 50% / 0.25 — so a scraper polling at any cadence sees a stable
+  /// signal, not a strobe.
   obs::Json health_json() const;
 
-  /// The wide-event request log (ServerConfig::request_log / PP_REQLOG).
+  /// The wide-event request log (ServerConfig::request_log).
   const RequestLog& request_log() const { return reqlog_; }
 
  private:
@@ -165,19 +160,6 @@ class GenerationServer {
     std::vector<PendingPtr> cancels;
     std::thread worker;
     std::atomic<std::uint64_t> served{0};  ///< requests this shard completed
-  };
-
-  /// One instance statistic, read by stats_json. When `name` is given, the
-  /// process-wide registry counter of that name counts it too.
-  class Stat {
-   public:
-    explicit Stat(const char* name = nullptr);
-    void add(std::uint64_t n = 1);
-    std::uint64_t value() const { return n_.load(); }
-
-   private:
-    std::atomic<std::uint64_t> n_{0};
-    obs::Counter* registry_ = nullptr;
   };
 
   Shard& shard_for(const ModelRegistry::Entry* entry);
@@ -219,15 +201,15 @@ class GenerationServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_hard_{false};
 
-  // Instance-lifetime stats.
-  Stat accepted_{"serve.accepted"}, rejected_{"serve.rejected"},
-      timeouts_{"serve.timeouts"}, cancelled_{"serve.cancelled"},
-      completed_{"serve.completed"}, batches_, batched_samples_,
-      joins_{"serve.joins"}, leaves_, repacks_{"serve.repacks"};
+  // This server's own counts and latencies (stats_json, and the rolling
+  // windows of metrics_json and health_json).
+  obs::Counter accepted_, rejected_, timeouts_, cancelled_, completed_,
+      batches_, batched_samples_, joins_, leaves_, repacks_;
+  obs::Histogram e2e_ms_, wait_ms_;
 
-  // Live telemetry plane: rolling windows baseline at THIS instance's
-  // construction (the underlying serve.* metrics are process-global), the
-  // wide-event log, and the hysteretic overload latch (health_json).
+  // Live telemetry plane: rolling windows over the members above (declared
+  // after them, so no view outlives what it reads), the wide-event log,
+  // and the hysteretic overload latch (health_json).
   obs::RollingCollector rolling_;
   RequestLog reqlog_;
   mutable std::atomic<bool> overloaded_{false};

@@ -286,37 +286,6 @@ TEST(PatternPaintErrors, GuardsMisuse) {
   EXPECT_THROW(pp.set_starters({Raster(16, 16)}), Error);  // wrong size
 }
 
-TEST(StatsJson, SerializersRoundTrip) {
-  IterationStats st;
-  st.iteration = 3;
-  st.generated_total = 120;
-  st.legal_total = 90;
-  st.unique_total = 60;
-  st.h1 = 1.5;
-  st.h2 = 2.25;
-  st.wall_seconds = 0.75;
-  st.drc_pass_rate = 0.75;
-  std::string err;
-  obs::Json back = obs::Json::parse(st.to_json().dump(), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  EXPECT_DOUBLE_EQ(back.find("iteration")->as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(back.find("generated_total")->as_number(), 120.0);
-  EXPECT_DOUBLE_EQ(back.find("wall_seconds")->as_number(), 0.75);
-  EXPECT_DOUBLE_EQ(back.find("drc_pass_rate")->as_number(), 0.75);
-
-  GenerationRecord rec;
-  rec.raw = Raster(8, 8);
-  rec.raw.fill_rect(Rect{0, 0, 8, 4}, 1);
-  rec.denoised = rec.raw;
-  rec.legal = true;
-  rec.wall_ms = 1.5;
-  obs::Json r = obs::Json::parse(rec.to_json().dump(), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  EXPECT_TRUE(r.find("legal")->as_bool());
-  EXPECT_DOUBLE_EQ(r.find("wall_ms")->as_number(), 1.5);
-  EXPECT_DOUBLE_EQ(r.find("raw_density")->as_number(), 0.5);
-}
-
 TEST(PatternPaintCache, PretrainCheckpointReused) {
   namespace fs = std::filesystem;
   auto dir = fs::temp_directory_path() / "pp_core_cache";

@@ -278,70 +278,68 @@ TEST(Metrics, PercentileOfMatchesPercentile) {
 // --- Rolling windows --------------------------------------------------------
 
 TEST(Rolling, CounterWindowAndRollover) {
-  RollingConfig cfg;  // 1 s sub-windows, 10 s short, 60 s long
+  // 1 s sub-windows, 10 s short, 60 s long.
   Counter live;
   const std::uint64_t t0 = 1'000'000'000ull * 1000;  // arbitrary epoch
-  RollingCounter view(live, cfg, t0);
+  RollingCounter view(live, t0);
 
   live.add(5);
-  WindowStats w = view.window(cfg.short_window_ns, t0 + 500'000'000ull);
+  WindowStats w = view.window(kShortWindowNs, t0 + 500'000'000ull);
   EXPECT_EQ(w.count, 5u);
   EXPECT_GT(w.rate_per_s, 0.0);
 
   // 3 s later another 10 events land; the 10 s window sees all 15.
   live.add(10);
-  w = view.window(cfg.short_window_ns, t0 + 3'500'000'000ull);
+  w = view.window(kShortWindowNs, t0 + 3'500'000'000ull);
   EXPECT_EQ(w.count, 15u);
   EXPECT_NEAR(w.window_s, 3.5, 0.01);
 
   // 30 s later the 10 s window has rolled past everything...
-  w = view.window(cfg.short_window_ns, t0 + 33'000'000'000ull);
+  w = view.window(kShortWindowNs, t0 + 33'000'000'000ull);
   EXPECT_EQ(w.count, 0u);
   // ...but the 60 s window still covers the metric's whole life.
-  w = view.window(cfg.long_window_ns, t0 + 33'000'000'000ull);
+  w = view.window(kLongWindowNs, t0 + 33'000'000'000ull);
   EXPECT_EQ(w.count, 15u);
 }
 
 TEST(Rolling, ReaderGapAgesEventsSlowerNeverFaster) {
-  RollingConfig cfg;
   Counter live;
   const std::uint64_t t0 = 1'000'000'000ull * 2000;
-  RollingCounter view(live, cfg, t0);
+  RollingCounter view(live, t0);
 
   // Events land right away, but NO reader looks for 8 s. The boundaries
   // crossed during the gap are stamped with the value at the previous look
   // (0 events), so the gap's events attribute to the newest sub-window and
   // are still fully visible in the short window.
   live.add(20);
-  WindowStats w = view.window(cfg.short_window_ns, t0 + 8'000'000'000ull);
+  WindowStats w = view.window(kShortWindowNs, t0 + 8'000'000'000ull);
   EXPECT_EQ(w.count, 20u);
 
   // 5 s later (13 s after the events actually happened) they are STILL in
   // the 10 s window — aged slower, never dropped early.
-  w = view.window(cfg.short_window_ns, t0 + 13'000'000'000ull);
+  w = view.window(kShortWindowNs, t0 + 13'000'000'000ull);
   EXPECT_EQ(w.count, 20u);
 
   // Once the window rolls past the sub-window they were stamped into, they
   // finally age out.
-  w = view.window(cfg.short_window_ns, t0 + 20'000'000'000ull);
+  w = view.window(kShortWindowNs, t0 + 20'000'000'000ull);
   EXPECT_EQ(w.count, 0u);
 }
 
 TEST(Rolling, HistogramWindowPercentiles) {
-  RollingConfig cfg;
   Histogram live;
   const std::uint64_t t0 = 1'000'000'000ull * 3000;
-  RollingHistogram view(live, cfg, t0);
+  RollingHistogram view(live, t0);
 
   // First second: slow requests. Stamp the boundary by querying.
   for (int i = 0; i < 100; ++i) live.observe(100.0);
-  (void)view.window(cfg.short_window_ns, t0 + 1'500'000'000ull);
+  (void)view.window(kShortWindowNs, t0 + 1'500'000'000ull);
 
   // 12 s later: only fast requests in the short window; the old slow batch
   // has aged out, so the windowed p95 reflects ONLY the recent regime.
   for (int i = 0; i < 100; ++i) live.observe(1.0);
   WindowStats w =
-      view.window(cfg.short_window_ns, t0 + 13'000'000'000ull);
+      view.window(kShortWindowNs, t0 + 13'000'000'000ull);
   EXPECT_EQ(w.count, 100u);
   EXPECT_LT(w.p95, 100.0 / 1.5);  // slow batch invisible
   EXPECT_GT(w.p50, 1.0 / 1.5);
@@ -353,10 +351,9 @@ TEST(Rolling, HistogramWindowPercentiles) {
 }
 
 TEST(Rolling, ConcurrentWritersDuringScrapes) {
-  RollingConfig cfg;
   Histogram live;
   const std::uint64_t t0 = 1'000'000'000ull * 4000;
-  RollingHistogram view(live, cfg, t0);
+  RollingHistogram view(live, t0);
 
   constexpr int kWriters = 4, kPerWriter = 5000;
   std::atomic<bool> stop{false};
@@ -364,7 +361,7 @@ TEST(Rolling, ConcurrentWritersDuringScrapes) {
     // Scrapes hammer the same simulated instant so the ring never rolls
     // past the final assertion's window; the point is reads racing writes.
     while (!stop.load()) {
-      WindowStats w = view.window(cfg.long_window_ns, t0 + 5'000'000'000ull);
+      WindowStats w = view.window(kLongWindowNs, t0 + 5'000'000'000ull);
       EXPECT_LE(w.count, static_cast<std::uint64_t>(kWriters * kPerWriter));
     }
   });
@@ -378,20 +375,21 @@ TEST(Rolling, ConcurrentWritersDuringScrapes) {
   reader.join();
 
   // Final scrape (simulated well within the long window) sees everything.
-  WindowStats w = view.window(cfg.long_window_ns, t0 + 30'000'000'000ull);
+  WindowStats w = view.window(kLongWindowNs, t0 + 30'000'000'000ull);
   EXPECT_EQ(w.count, static_cast<std::uint64_t>(kWriters * kPerWriter));
   EXPECT_GT(w.p50, 0.0);
 }
 
 TEST(Rolling, CollectorSnapshotJsonShape) {
-  RollingConfig cfg;
-  RollingCollector collector(cfg);
-  collector.track_counter("obs_test.roll_counter");
-  collector.track_histogram("obs_test.roll_hist");
-  collector.track_counter("obs_test.roll_counter");  // idempotent
+  Counter counter, other;
+  Histogram hist;
+  RollingCollector collector;
+  collector.track_counter("obs_test.roll_counter", counter);
+  collector.track_histogram("obs_test.roll_hist", hist);
+  collector.track_counter("obs_test.roll_counter", other);  // keeps the first
 
-  metrics().counter("obs_test.roll_counter").add(3);
-  metrics().histogram("obs_test.roll_hist").observe(2.0);
+  counter.add(3);
+  hist.observe(2.0);
 
   Json snap = collector.snapshot_json(detail::now_ns());
   EXPECT_TRUE(snap.find("sub_window_s")->is_number());
@@ -413,8 +411,6 @@ TEST(Rolling, CollectorSnapshotJsonShape) {
   std::string err;
   Json back = Json::parse(snap.dump(), &err);
   EXPECT_TRUE(err.empty()) << err;
-  metrics().counter("obs_test.roll_counter").reset();
-  metrics().histogram("obs_test.roll_hist").reset();
 }
 
 // --- Exposition -------------------------------------------------------------
@@ -592,8 +588,8 @@ TEST(TraceBuf, ParseIsStrictAndBounded) {
   EXPECT_EQ(parse_trace_buf(""), 0u);
 }
 
-// Strings and one env var: every numeric knob takes a whole decimal number
-// inside its bounds and nothing else, never a numeric prefix.
+// Every numeric knob takes a whole decimal number inside its bounds and
+// nothing else, never a numeric prefix.
 TEST(EnvKnobs, ParseIsStrictAndBounded) {
   for (const char* bad :
        {"10MB", "1e7", "4abc", "0.5", "", "-1", "+8", " 8", "8 ",
@@ -603,22 +599,6 @@ TEST(EnvKnobs, ParseIsStrictAndBounded) {
   }
   EXPECT_EQ(parse_bounded("1099511627776", 1, std::uint64_t{1} << 40),
             std::uint64_t{1} << 40);
-  // PP_ROLL_WINDOW_S: [2, 3600] whole seconds, inclusive.
-  EXPECT_EQ(parse_bounded("2", kMinRollWindowS, kMaxRollWindowS), 2u);
-  EXPECT_EQ(parse_bounded("3600", kMinRollWindowS, kMaxRollWindowS), 3600u);
-  EXPECT_FALSE(parse_bounded("1", kMinRollWindowS, kMaxRollWindowS));
-  EXPECT_FALSE(parse_bounded("3601", kMinRollWindowS, kMaxRollWindowS));
-
-  // The knob itself: a malformed value keeps the 60 s default.
-  constexpr std::uint64_t kNsPerS = 1'000'000'000ull;
-  ASSERT_EQ(std::getenv("PP_ROLL_WINDOW_S"), nullptr);
-  for (const char* bad : {"0.5", "4abc", "7200"}) {
-    ::setenv("PP_ROLL_WINDOW_S", bad, 1);
-    EXPECT_EQ(RollingConfig::from_env().long_window_ns, 60 * kNsPerS) << bad;
-  }
-  ::setenv("PP_ROLL_WINDOW_S", "120", 1);
-  EXPECT_EQ(RollingConfig::from_env().long_window_ns, 120 * kNsPerS);
-  ::unsetenv("PP_ROLL_WINDOW_S");
 }
 
 TEST_F(TraceTest, CorrSpansAndFlowPointsPropagate) {

@@ -19,8 +19,7 @@ set(bad_cases
   "--shards|"
   "--cache|-3"
   "--backlog|99999999"
-  "--max-conns|1e3"
-  "--publish-ms|ten")
+  "--max-conns|1e3")
 
 foreach(case ${bad_cases})
   string(REPLACE "|" ";" parts "${case}")
@@ -65,53 +64,10 @@ foreach(endpoint "127.0.0.1" "127.0.0.1:notaport" "127.0.0.1:70000")
   endif()
 endforeach()
 
-# PP_PUBLISH_MS takes the same bounds as --publish-ms. 3000000000 does not
-# fit an int: cast, it is a negative cadence and a publisher that never
-# sleeps. Each bad value is a usage error that names the variable.
-set(publish_file "${WORK_DIR}/serve_cli_publish.json")
-foreach(value "3000000000" "ten" "0")
-  file(REMOVE ${publish_file})
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env PP_PUBLISH_MS=${value}
-            ${SERVE} pipe --publish ${publish_file}
-    INPUT_FILE /dev/null
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc
-    TIMEOUT 30)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR
-      "PP_PUBLISH_MS=${value} should exit 2 with a usage error, got "
-      "rc='${rc}':\n${out}\n${err}")
-  endif()
-  string(FIND "${err}" "PP_PUBLISH_MS" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-      "PP_PUBLISH_MS=${value} error does not name PP_PUBLISH_MS:\n${err}")
-  endif()
-  if(EXISTS ${publish_file})
-    message(FATAL_ERROR "PP_PUBLISH_MS=${value} still published ${publish_file}")
-  endif()
-endforeach()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env PP_PUBLISH_MS=50
-          ${SERVE} pipe --publish ${publish_file}
-  INPUT_FILE /dev/null
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err
-  RESULT_VARIABLE rc
-  TIMEOUT 30)
-string(FIND "${err}" "every 50ms" pos)
-if(NOT rc EQUAL 0 OR pos EQUAL -1 OR NOT EXISTS ${publish_file})
-  message(FATAL_ERROR
-    "PP_PUBLISH_MS=50 should publish every 50ms (rc ${rc}):\n${out}\n${err}")
-endif()
-file(REMOVE ${publish_file})
-
 # Good values still parse: a pipe session with every numeric flag set.
 execute_process(
   COMMAND ${SERVE} pipe --max-queue 8 --max-batch 4 --shards 2 --cache 16
-          --backlog 64 --max-conns 128 --publish-ms 500
+          --backlog 64 --max-conns 128
   INPUT_FILE /dev/null
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err

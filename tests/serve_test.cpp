@@ -27,7 +27,6 @@
 #include "core/config.hpp"
 #include "diffusion/convert.hpp"
 #include "expand/expander.hpp"
-#include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -1028,6 +1027,49 @@ TEST(Serve, HealthOverloadLatchAndDraining) {
   EXPECT_FALSE(h.find("overloaded")->as_bool());
 }
 
+// Each server's telemetry counts its own traffic only: two servers on one
+// registry, B rejects every request (unknown model), and A stays idle. A's
+// health, rolling windows and stats must read no traffic; B's read all of
+// it.
+TEST(Serve, TelemetryIgnoresAnotherServersTraffic) {
+  auto registry = tiny_registry();
+  GenerationServer a(registry);
+  GenerationServer b(registry);
+  const int kRejects = 4;
+  for (int i = 0; i < kRejects; ++i) {
+    GenRequest req = sample_req(i + 1, i + 1);
+    req.model = "ghost";
+    EXPECT_EQ(b.submit(std::move(req)).get().error, ErrorCode::kUnknownModel);
+  }
+
+  const obs::Json ha = a.health_json();
+  EXPECT_EQ(ha.find("status")->as_string(), "ok");
+  EXPECT_DOUBLE_EQ(ha.find("error_rate")->as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(ha.find("requests_per_s")->as_number(), 0.0);
+  const obs::Json hb = b.health_json();
+  EXPECT_EQ(hb.find("status")->as_string(), "overloaded");
+  EXPECT_DOUBLE_EQ(hb.find("error_rate")->as_number(), 1.0);
+
+  const auto rolled = [](const GenerationServer& s, const char* win,
+                         const char* name) {
+    return s.metrics_json()
+        .find("rolling")
+        ->find(win)
+        ->find("counters")
+        ->find(name)
+        ->find("count")
+        ->as_number();
+  };
+  for (const char* win : {"short", "long"}) {
+    EXPECT_EQ(rolled(a, win, "serve.rejected"), 0.0) << win;
+    EXPECT_EQ(rolled(a, win, "serve.accepted"), 0.0) << win;
+    EXPECT_EQ(rolled(b, win, "serve.rejected"), kRejects) << win;
+    EXPECT_EQ(rolled(b, win, "serve.accepted"), 0.0) << win;
+  }
+  EXPECT_EQ(a.stats_json().find("rejected")->as_number(), 0.0);
+  EXPECT_EQ(b.stats_json().find("rejected")->as_number(), kRejects);
+}
+
 /// Reads the wide-event log back as parsed JSON lines.
 std::vector<obs::Json> read_reqlog(const std::string& path) {
   std::vector<obs::Json> lines;
@@ -1051,7 +1093,7 @@ TEST(Serve, RequestLogAccountsEveryRequest) {
   auto registry = tiny_registry();
   ServerConfig cfg;
   cfg.max_queue = 2;
-  cfg.request_log.path = path;
+  cfg.request_log = path;
   GenerationServer server(registry, cfg);  // not started: queue fills
 
   std::vector<std::future<GenResponse>> futs;
@@ -1085,48 +1127,33 @@ TEST(Serve, RequestLogAccountsEveryRequest) {
   std::remove(path.c_str());
 }
 
-// Size rotation: the active file rolls to .1 when it would exceed
-// rotate_bytes; lines_written() counts across rotations.
+// Size rotation: the active file rolls to .1 when it would pass
+// kRotateBytes; lines_written() counts across rotations.
 TEST(Serve, RequestLogRotation) {
   const std::string path = ::testing::TempDir() + "serve_reqlog_rot.ndjson";
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
-  RequestLogConfig cfg;
-  cfg.path = path;
-  cfg.rotate_bytes = 600;  // ~2 wide events per file
-  RequestLog log(cfg);
+  RequestLog log(path);
   obs::Json line = obs::Json::object();
   line.set("event", obs::Json("serve.request"));
-  line.set("pad", obs::Json(std::string(200, 'x')));
-  for (int i = 0; i < 7; ++i) log.write(line);
-  EXPECT_EQ(log.lines_written(), 7u);
+  line.set("pad", obs::Json(std::string(64 << 10, 'x')));
+  // 160 lines of about 64 KiB: about 2.5x the threshold, so the log
+  // rotates twice.
+  const int kLines = 160;
+  for (int i = 0; i < kLines; ++i) log.write(line);
+  EXPECT_EQ(log.lines_written(), static_cast<std::uint64_t>(kLines));
   std::vector<obs::Json> active = read_reqlog(path);
   std::vector<obs::Json> rotated = read_reqlog(path + ".1");
   EXPECT_GE(active.size(), 1u);
   EXPECT_GE(rotated.size(), 1u);
-  // Disk footprint stays bounded at ~2x rotate_bytes (active + one old).
-  EXPECT_LE(active.size() + rotated.size(), 5u);
+  EXPECT_LT(active.size() + rotated.size(), static_cast<std::size_t>(kLines));
+  // Disk footprint stays bounded at ~2x kRotateBytes (active + one old).
+  std::ifstream a(path, std::ios::binary | std::ios::ate);
+  std::ifstream r(path + ".1", std::ios::binary | std::ios::ate);
+  EXPECT_LE(static_cast<std::uint64_t>(a.tellg()), kRotateBytes);
+  EXPECT_LE(static_cast<std::uint64_t>(r.tellg()), kRotateBytes);
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
-}
-
-// PP_REQLOG_ROTATE_BYTES is a whole byte count in [4 KiB, 1 TiB]; anything
-// else keeps the 4 MiB default, so a unit suffix or an exponent cannot
-// shrink the log to its last few KiB.
-TEST(Serve, RequestLogRotateBytesEnvIsStrict) {
-  EXPECT_EQ(obs::parse_bounded("4096", kMinRotateBytes, kMaxRotateBytes),
-            4096u);
-  EXPECT_FALSE(obs::parse_bounded("4095", kMinRotateBytes, kMaxRotateBytes));
-  EXPECT_FALSE(
-      obs::parse_bounded("1099511627777", kMinRotateBytes, kMaxRotateBytes));
-  ASSERT_EQ(std::getenv("PP_REQLOG_ROTATE_BYTES"), nullptr);
-  for (const char* bad : {"10MB", "1e7", "4abc", "-1", "", "1024"}) {
-    ::setenv("PP_REQLOG_ROTATE_BYTES", bad, 1);
-    EXPECT_EQ(RequestLogConfig::from_env().rotate_bytes, 4ull << 20) << bad;
-  }
-  ::setenv("PP_REQLOG_ROTATE_BYTES", "10000000", 1);
-  EXPECT_EQ(RequestLogConfig::from_env().rotate_bytes, 10000000u);
-  ::unsetenv("PP_REQLOG_ROTATE_BYTES");
 }
 
 // Request-scoped tracing: each request's serve.request span carries
@@ -1139,7 +1166,7 @@ TEST(Serve, TracePropagatesRequestContext) {
   std::remove(path.c_str());
   auto registry = tiny_registry();
   ServerConfig cfg;
-  cfg.request_log.path = path;
+  cfg.request_log = path;
   GenerationServer server(registry, cfg);
   server.start();
   GenRequest req = sample_req(77, 5);
